@@ -1,11 +1,10 @@
-//! Benchmarks of the execution hot path: token-handoff latency with the
-//! adaptive spin-then-park parker vs. the park-only baseline
-//! (`GOAT_SPIN=0`), the end-to-end campaign cost on top of the
+//! Benchmarks of the execution hot path: token-handoff latency of the
+//! condvar parker, the end-to-end campaign cost on top of the
 //! out-of-lock trace append, and the duplicate-schedule analysis memo.
 //!
 //! `handoff_256_steps` is a two-goroutine rendezvous ping-pong: every
 //! round is two scheduler handoffs with nothing else on the critical
-//! path, so the per-step improvement is the parker's futex savings.
+//! path, so it measures the parker's wake latency.
 //! `campaign_24_iters/streaming_p4_pooled` reproduces the bench id from
 //! `BENCH_pool.json` for a before/after end-to-end comparison.
 
@@ -14,19 +13,12 @@ use goat_core::{FnProgram, Goat, GoatConfig, MemoMode};
 use goat_runtime::{go, Chan, Config, Runtime, WaitGroup};
 use std::sync::Arc;
 
-fn quiet(seed: u64, spin: Option<u32>) -> Config {
-    let cfg = Config::new(seed).with_native_preempt_prob(0.0).with_trace(false);
-    match spin {
-        Some(s) => cfg.with_spin(s),
-        None => cfg, // host-adaptive default (GOAT_SPIN)
-    }
-}
-
 /// Two goroutines rendezvous `rounds` times over unbuffered channels:
 /// each round forces two token handoffs, so the run is dominated by
 /// parker latency.
-fn ping_pong(seed: u64, spin: Option<u32>, rounds: usize) {
-    let r = Runtime::run(quiet(seed, spin), move || {
+fn ping_pong(seed: u64, rounds: usize) {
+    let cfg = Config::new(seed).with_native_preempt_prob(0.0).with_trace(false);
+    let r = Runtime::run(cfg, move || {
         let a: Chan<u8> = Chan::new(0);
         let b: Chan<u8> = Chan::new(0);
         let (a2, b2) = (a.clone(), b.clone());
@@ -46,11 +38,7 @@ fn ping_pong(seed: u64, spin: Option<u32>, rounds: usize) {
 
 fn bench_handoff(c: &mut Criterion) {
     let mut g = c.benchmark_group("handoff_256_steps");
-    // The host-adaptive default: GOAT_SPIN, else 100 on multi-core
-    // hosts and 0 (park-only) on single-CPU hosts.
-    g.bench_function("adaptive_default", |b| b.iter(|| ping_pong(1, None, 256)));
-    g.bench_function("spin_100", |b| b.iter(|| ping_pong(1, Some(100), 256)));
-    g.bench_function("park_only", |b| b.iter(|| ping_pong(1, Some(0), 256)));
+    g.bench_function("park_only", |b| b.iter(|| ping_pong(1, 256)));
     g.finish();
 }
 

@@ -12,11 +12,10 @@
 //!
 //! * `bin` (the default) — the compact binary data plane of
 //!   [`crate::wire`]: a per-checkout `Init` frame carries the
-//!   campaign-constant [`Config`] base (and shared-memory geometry)
-//!   once, each `Run` frame carries only the per-run delta (seed,
-//!   delay bound, yield probability, strategy), and result traces
-//!   travel through the varint-delta event codec of
-//!   [`goat_trace::wire`];
+//!   campaign-constant [`Config`] base once, each `Run` frame carries
+//!   only the per-run delta (seed, delay bound, yield probability,
+//!   strategy), and result traces travel through the varint-delta
+//!   event codec of [`goat_trace::wire`];
 //! * `json` — the debug/compat path: self-describing JSON frames with
 //!   the full `Config` in every `Run`.
 //!
@@ -24,21 +23,12 @@
 //!   orchestrator                       worker
 //!        | ---- spawn `goat --worker` --> |   (rlimit jail applied)
 //!        | <--------- Ready ------------- |   handshake
-//!        | ---- Init{base, shm geom} ---> |   (bin; once per checkout)
+//!        | -------- Init{base} ---------> |   (bin; once per checkout)
 //!        | ---- Run{iter, delta} ×batch > |   (GOAT_IPC_BATCH per write)
 //!        | <--------- Ack{iter} --------- |   (transport latency sample)
 //!        | <-------- Heartbeat{iter} ---- |   every GOAT_WORKER_HEARTBEAT_MS
-//!        | <-- Result{iter, result} ----- |   (or ResultShm{slot} via the
-//!        |                                |    file-backed shm ring)
+//!        | <-- Result{iter, result} ----- |
 //! ```
-//!
-//! With `GOAT_IPC_SHM=1` the orchestrator maps a file-backed
-//! shared-memory ring (one slot per batch lane) and the worker writes
-//! each encoded result into a slot, sending only a tiny `ResultShm`
-//! reference over the pipe; the orchestrator decodes straight out of
-//! the mapping — no serialize→pipe→parse round trip for bulky bug
-//! traces. Mapping failure on either side degrades silently to pipe
-//! `Result` frames.
 //!
 //! Every knob still travels from the orchestrator (in `Init` + `Run`),
 //! so a worker cannot skew a run through its own environment: for
@@ -72,7 +62,6 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, ErrorKind, Read, Write};
-use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -90,10 +79,6 @@ pub const ISOLATE_ENV: &str = "GOAT_ISOLATE";
 /// Environment variable selecting the IPC payload encoding
 /// (`bin` | `json`; unset means `bin`).
 pub const IPC_ENV: &str = "GOAT_IPC";
-
-/// Environment variable enabling the shared-memory result ring under
-/// `GOAT_IPC=bin` (`1`/`on`/`true`; default off).
-pub const IPC_SHM_ENV: &str = "GOAT_IPC_SHM";
 
 /// Environment variable setting how many `Run` frames the orchestrator
 /// sends per write (default 1; capped by the guided-campaign lag).
@@ -131,11 +116,6 @@ pub const RLIMIT_CPU_S_ENV: &str = "GOAT_WORKER_RLIMIT_CPU_S";
 
 /// Stderr lines retained per worker for crash forensics.
 const STDERR_TAIL_LINES: usize = 40;
-
-/// Upper bound on one shm slot (and thus on a zero-pipe result); bigger
-/// results fall back to the pipe. Kept modest so the mapping does not
-/// eat into the worker's `RLIMIT_AS` jail.
-const SHM_SLOT_MAX: usize = 16 * 1024 * 1024;
 
 /// First allocation when reading a frame payload: even a corrupt
 /// length prefix under the cap cannot force a giant upfront
@@ -226,22 +206,14 @@ impl std::fmt::Display for IpcMode {
 pub(crate) struct IpcSpec {
     /// Payload encoding.
     pub mode: IpcMode,
-    /// Use the shared-memory result ring (bin mode only).
-    pub shm: bool,
     /// `Run` frames per pipe write (≥ 1).
     pub batch: usize,
 }
 
 impl Default for IpcSpec {
     fn default() -> Self {
-        IpcSpec { mode: IpcMode::from_env(), shm: env_flag(IPC_SHM_ENV), batch: 1 }
+        IpcSpec { mode: IpcMode::from_env(), batch: 1 }
     }
-}
-
-fn env_flag(name: &str) -> bool {
-    std::env::var(name)
-        .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "on" | "true" | "yes"))
-        .unwrap_or(false)
 }
 
 /// One message on the JSON worker wire, encoded as `[u32 LE length][JSON]`.
@@ -359,8 +331,7 @@ fn spawn_grace_ms() -> u64 {
     env_u64(SPAWN_GRACE_MS_ENV, 10_000).max(1)
 }
 
-/// Resource jail, fault raising, and shared-memory mapping via raw libc
-/// calls (no crates).
+/// Resource jail and fault raising via raw libc calls (no crates).
 #[cfg(unix)]
 mod sys {
     /// `struct rlimit`: soft and hard limits, both `rlim_t` (u64 on the
@@ -375,8 +346,6 @@ mod sys {
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
         fn raise(sig: i32) -> i32;
         fn signal(sig: i32, handler: usize) -> usize;
-        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-        fn munmap(addr: *mut u8, len: usize) -> i32;
     }
 
     /// `SIG_DFL`: the default disposition.
@@ -388,10 +357,6 @@ mod sys {
     const RLIMIT_AS: i32 = 9;
     const RLIMIT_CPU: i32 = 0;
     const RLIMIT_CORE: i32 = 4;
-
-    const PROT_READ: i32 = 1;
-    const PROT_WRITE: i32 = 2;
-    const MAP_SHARED: i32 = 1;
 
     fn set(resource: i32, limit: u64) {
         let rl = RLimit { cur: limit, max: limit };
@@ -427,126 +392,12 @@ mod sys {
             raise(sig);
         }
     }
-
-    /// `MAP_SHARED`-map `len` bytes of `file`; `None` on failure (the
-    /// caller falls back to pipe transport).
-    pub fn map_file(file: &std::fs::File, len: usize, write: bool) -> Option<(*mut u8, usize)> {
-        use std::os::unix::io::AsRawFd;
-        if len == 0 {
-            return None;
-        }
-        let prot = if write { PROT_READ | PROT_WRITE } else { PROT_READ };
-        let ptr = unsafe { mmap(std::ptr::null_mut(), len, prot, MAP_SHARED, file.as_raw_fd(), 0) };
-        if ptr.is_null() || ptr as isize == -1 {
-            return None;
-        }
-        Some((ptr, len))
-    }
-
-    /// Unmap a region mapped by [`map_file`].
-    pub fn unmap(ptr: *mut u8, len: usize) {
-        unsafe {
-            munmap(ptr, len);
-        }
-    }
 }
 
 #[cfg(not(unix))]
 mod sys {
     pub fn apply_rlimits() {}
     pub fn raise_signal(_sig: i32) {}
-    pub fn map_file(_file: &std::fs::File, _len: usize, _write: bool) -> Option<(*mut u8, usize)> {
-        None
-    }
-    pub fn unmap(_ptr: *mut u8, _len: usize) {}
-}
-
-/// An owned `MAP_SHARED` mapping (unmapped on drop).
-struct ShmMap {
-    ptr: *mut u8,
-    len: usize,
-}
-
-// The raw pointer is only a region handle; the region itself is shared
-// memory whose cross-process ordering is anchored by the pipe frames
-// (the worker writes a slot strictly before its `ResultShm` frame, and
-// the orchestrator reads it strictly after).
-unsafe impl Send for ShmMap {}
-
-impl ShmMap {
-    fn map(file: &std::fs::File, len: usize, write: bool) -> Option<ShmMap> {
-        sys::map_file(file, len, write).map(|(ptr, len)| ShmMap { ptr, len })
-    }
-
-    /// Borrow `len` bytes at `off`; caller must have validated bounds.
-    unsafe fn slice(&self, off: usize, len: usize) -> &[u8] {
-        debug_assert!(off + len <= self.len);
-        std::slice::from_raw_parts(self.ptr.add(off), len)
-    }
-
-    /// Copy `bytes` to offset `off`; caller must have validated bounds.
-    unsafe fn write_at(&self, off: usize, bytes: &[u8]) {
-        debug_assert!(off + bytes.len() <= self.len);
-        std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.ptr.add(off), bytes.len());
-    }
-}
-
-impl Drop for ShmMap {
-    fn drop(&mut self) {
-        sys::unmap(self.ptr, self.len);
-    }
-}
-
-/// Orchestrator side of one worker's shared-memory result ring.
-struct ShmHandle {
-    map: ShmMap,
-    path: PathBuf,
-    slot_len: usize,
-    slots: usize,
-    /// The ring file is unlinked once the worker has provably mapped it
-    /// (first result received after `Init`), so crashed orchestrators
-    /// leave at most one stale file per live worker behind.
-    unlinked: bool,
-}
-
-impl ShmHandle {
-    fn unlink(&mut self) {
-        if !self.unlinked {
-            self.unlinked = true;
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-}
-
-impl Drop for ShmHandle {
-    fn drop(&mut self) {
-        self.unlink();
-    }
-}
-
-/// Create and map one result ring (`slots × slot_len`, sized to the
-/// batching window); `None` degrades to pipe transport.
-fn create_shm(slots: usize, slot_len: usize) -> Option<ShmHandle> {
-    static SHM_SEQ: AtomicU64 = AtomicU64::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "goat-shm-{}-{}",
-        std::process::id(),
-        SHM_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let file =
-        std::fs::OpenOptions::new().read(true).write(true).create_new(true).open(&path).ok()?;
-    let len = slots.checked_mul(slot_len)?;
-    if file.set_len(len as u64).is_err() {
-        let _ = std::fs::remove_file(&path);
-        return None;
-    }
-    match ShmMap::map(&file, len, false) {
-        Some(map) => Some(ShmHandle { map, path, slot_len, slots, unlinked: false }),
-        None => {
-            let _ = std::fs::remove_file(&path);
-            None
-        }
-    }
 }
 
 /// Human name for the signals a worker plausibly dies from.
@@ -674,8 +525,8 @@ fn worker_fault_flow(
 /// program to execute (the CLI passes the goker kernel registry). The
 /// worker jails itself with `setrlimit` before answering `Ready`,
 /// streams `Heartbeat` frames from a side thread, and answers every
-/// `Run` with `Ack` + `Result` (or `ResultShm`). The payload encoding
-/// is chosen by [`IPC_ENV`], which the orchestrator sets when spawning.
+/// `Run` with `Ack` + `Result`. The payload encoding is chosen by
+/// [`IPC_ENV`], which the orchestrator sets when spawning.
 /// Injected worker faults (`GOAT_FAULT=worker:…`) fire here, keyed on
 /// the run's seed.
 pub fn serve_worker(resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>) -> i32 {
@@ -759,18 +610,7 @@ fn serve_json(
     }
 }
 
-/// Worker side of the shared-memory result ring.
-struct WorkerShm {
-    map: ShmMap,
-    slot_len: usize,
-    slots: usize,
-    /// Worker-local slot rotation; the orchestrator learns each slot
-    /// from the `ResultShm` frame, so the counters need not be shared.
-    next: u64,
-}
-
-/// The binary serve loop: per-checkout `Init`, per-run deltas, shm or
-/// pipe results.
+/// The binary serve loop: per-checkout `Init`, per-run deltas.
 fn serve_bin(
     resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>,
     stdout: &Arc<Mutex<io::Stdout>>,
@@ -780,9 +620,6 @@ fn serve_bin(
     let mut stdin = io::stdin().lock();
     let mut program: Option<String> = None;
     let mut base: Option<Config> = None;
-    let mut shm: Option<WorkerShm> = None;
-    // Encoded-result scratch, reused across runs.
-    let mut scratch: Vec<u8> = Vec::new();
     loop {
         let payload = match read_payload(&mut stdin) {
             Ok(p) => p,
@@ -800,30 +637,9 @@ fn serve_bin(
             }
         };
         match frame {
-            WireFrame::Init { program: p, shm_path, slot_len, slots, base: b } => {
+            WireFrame::Init { program: p, base: b } => {
                 program = Some(p);
                 base = Some(*b);
-                shm = if shm_path.is_empty() {
-                    None
-                } else {
-                    std::fs::OpenOptions::new()
-                        .read(true)
-                        .write(true)
-                        .open(&shm_path)
-                        .ok()
-                        .and_then(|f| {
-                            let len = (slot_len as usize).checked_mul(slots as usize)?;
-                            ShmMap::map(&f, len, true)
-                        })
-                        .map(|map| WorkerShm {
-                            map,
-                            slot_len: slot_len as usize,
-                            slots: slots as usize,
-                            next: 0,
-                        })
-                    // Mapping failure falls back to pipe Result frames;
-                    // the orchestrator accepts both.
-                };
             }
             WireFrame::Run { iter, seed, delay_bound, yield_prob, strategy } => {
                 let (Some(program), Some(base)) = (&program, &base) else {
@@ -850,31 +666,8 @@ fn serve_bin(
                     }
                     None => infra(format!("worker: unknown program {program:?}")),
                 };
-                if shm.is_some() {
-                    scratch.clear();
-                    wire::encode_result(&result, &mut scratch);
-                }
-                let sent = match &mut shm {
-                    Some(ring) if scratch.len() <= ring.slot_len && !scratch.is_empty() => {
-                        let slot = ring.next % ring.slots as u64;
-                        ring.next += 1;
-                        // The slot write happens strictly before the
-                        // ResultShm frame crosses the pipe; the pipe is
-                        // the cross-process ordering point.
-                        unsafe {
-                            ring.map.write_at(slot as usize * ring.slot_len, &scratch);
-                        }
-                        write_wire_locked(
-                            stdout,
-                            &WireFrame::ResultShm { iter, slot, len: scratch.len() as u64 },
-                        )
-                    }
-                    _ => write_wire_locked(
-                        stdout,
-                        &WireFrame::Result { iter, result: Box::new(result) },
-                    ),
-                };
-                if sent.is_err() {
+                let frame = WireFrame::Result { iter, result: Box::new(result) };
+                if write_wire_locked(stdout, &frame).is_err() {
                     return 1;
                 }
             }
@@ -903,15 +696,6 @@ enum Event {
         /// The decoded result (boxed: dwarfs the other variants).
         result: Box<RunResult>,
     },
-    /// A result reference into the shared-memory ring.
-    ResultShm {
-        /// Iteration the result belongs to.
-        iter: u64,
-        /// Ring slot holding the encoded result.
-        slot: u64,
-        /// Encoded byte length within the slot.
-        len: u64,
-    },
     /// A well-formed frame that makes no sense from a worker.
     Unexpected(String),
     /// The stream is corrupt (oversized/undecodable frame).
@@ -928,24 +712,21 @@ struct Worker {
     stderr_tail: Arc<Mutex<VecDeque<String>>>,
     /// Runs served so far (reuse accounting).
     runs: u64,
-    /// Hash of the `Init` state (program, base config, fault plan, shm
-    /// geometry) the worker currently holds; `None` until the first
-    /// `Init` is sent. A mismatch forces a fresh `Init`, so stale
-    /// worker state can never leak across campaigns.
+    /// Hash of the `Init` state (program, base config, fault plan) the
+    /// worker currently holds; `None` until the first `Init` is sent.
+    /// A mismatch forces a fresh `Init`, so stale worker state can never
+    /// leak across campaigns.
     init_hash: Option<u64>,
-    /// The worker's shared-memory result ring, when enabled.
-    shm: Option<ShmHandle>,
 }
 
 /// Pool of idle workers plus the set of commands that failed to spawn
 /// or handshake; broken commands fall back in-process forever (and are
 /// reported once).
 ///
-/// Idle workers are keyed by command, IPC mode, shm geometry, *and* the
-/// fault plan that was active at spawn time (the plan travels in the
-/// worker's environment), so a worker spawned under one data-plane or
-/// `GOAT_FAULT` configuration is never reused by a campaign running
-/// under another.
+/// Idle workers are keyed by command, IPC mode *and* the fault plan
+/// that was active at spawn time (the plan travels in the worker's
+/// environment), so a worker spawned under one codec or `GOAT_FAULT`
+/// configuration is never reused by a campaign running under another.
 #[derive(Default)]
 struct PoolState {
     idle: HashMap<String, Vec<Worker>>,
@@ -953,16 +734,8 @@ struct PoolState {
 }
 
 fn pool_key(cmd: &str, spec: &IpcSpec) -> String {
-    let geom = match (spec.mode, spec.shm) {
-        (IpcMode::Bin, true) => format!("shm:{}x{}", shm_slot_len(), spec.batch.max(1)),
-        _ => "pipe".to_string(),
-    };
     let fault = faultpoint::current_spec().unwrap_or_default();
-    format!("{cmd}\u{1f}{}\u{1f}{geom}\u{1f}{fault}", spec.mode)
-}
-
-fn shm_slot_len() -> usize {
-    max_frame().min(SHM_SLOT_MAX)
+    format!("{cmd}\u{1f}{}\u{1f}{fault}", spec.mode)
 }
 
 fn pool() -> &'static Mutex<PoolState> {
@@ -991,12 +764,11 @@ fn spawn_worker(cmd: &str, spec: &IpcSpec) -> Result<Worker, String> {
         // The payload encoding is the orchestrator's choice.
         .env(IPC_ENV, spec.mode.to_string())
         // Campaign-level concerns stay in the orchestrator: a worker
-        // must not write checkpoints or telemetry, must never isolate
-        // recursively, and takes its shm geometry from `Init`, not env.
+        // must not write checkpoints or telemetry and must never isolate
+        // recursively.
         .env_remove("GOAT_TELEMETRY")
         .env_remove("GOAT_CHECKPOINT")
         .env_remove(ISOLATE_ENV)
-        .env_remove(IPC_SHM_ENV)
         .env_remove(IPC_BATCH_ENV);
     // Scoped fault plans only exist in this process; propagate the
     // active spec so `faultpoint::scoped` test plans reach the worker.
@@ -1055,9 +827,6 @@ fn spawn_worker(cmd: &str, spec: &IpcSpec) -> Result<Worker, String> {
                         .record(decode_started.elapsed().as_nanos() as u64);
                     Event::Result { iter, result }
                 }
-                Ok(WireFrame::ResultShm { iter, slot, len }) => {
-                    Event::ResultShm { iter, slot, len }
-                }
                 Ok(f) => Event::Unexpected(format!("{f:?}")),
                 Err(e) => {
                     let _ = tx.send(Event::Corrupt(e.to_string()));
@@ -1097,12 +866,8 @@ fn spawn_worker(cmd: &str, spec: &IpcSpec) -> Result<Worker, String> {
             return Err(what);
         }
     }
-    let shm = match (spec.mode, spec.shm) {
-        (IpcMode::Bin, true) => create_shm(spec.batch.max(1), shm_slot_len()),
-        _ => None,
-    };
     goat_metrics::global().counter("isolate.workers_spawned").inc();
-    Ok(Worker { child, stdin, events: rx, stderr_tail, runs: 0, init_hash: None, shm })
+    Ok(Worker { child, stdin, events: rx, stderr_tail, runs: 0, init_hash: None })
 }
 
 /// SIGKILL a misbehaving worker and reap it.
@@ -1229,11 +994,11 @@ fn canonical_base(cfg: &Config) -> Config {
     base
 }
 
-/// Hash the full `Init` state for a run: program, canonical base
-/// config, active fault plan, and shm geometry. A checked-out worker
-/// whose cached hash differs gets a fresh `Init` frame before the next
-/// `Run`, so configuration can never leak across campaigns.
-fn init_hash(program: &str, base_bytes: &[u8], worker: &Worker) -> u64 {
+/// Hash the full `Init` state for a run: program, canonical base config
+/// and active fault plan. A checked-out worker whose cached hash differs
+/// gets a fresh `Init` frame before the next `Run`, so configuration can
+/// never leak across campaigns.
+fn init_hash(program: &str, base_bytes: &[u8]) -> u64 {
     let mut key = Vec::with_capacity(base_bytes.len() + program.len() + 64);
     key.extend_from_slice(program.as_bytes());
     key.push(0x1f);
@@ -1241,10 +1006,6 @@ fn init_hash(program: &str, base_bytes: &[u8], worker: &Worker) -> u64 {
     key.push(0x1f);
     if let Some(spec) = faultpoint::current_spec() {
         key.extend_from_slice(spec.as_bytes());
-    }
-    key.push(0x1f);
-    if let Some(shm) = &worker.shm {
-        key.extend_from_slice(format!("{}x{}", shm.slot_len, shm.slots).as_bytes());
     }
     wire::fnv1a64(&key)
 }
@@ -1273,25 +1034,11 @@ fn encode_batch(
                 let base = canonical_base(cfg);
                 let mut base_bytes = Vec::with_capacity(64);
                 wire::encode_config(&base, &mut base_bytes);
-                let h = init_hash(program, &base_bytes, worker);
+                let h = init_hash(program, &base_bytes);
                 if held != Some(h) {
                     held = Some(h);
-                    let (shm_path, slot_len, slots) = match &worker.shm {
-                        Some(shm) => (
-                            shm.path.to_string_lossy().into_owned(),
-                            shm.slot_len as u64,
-                            shm.slots as u64,
-                        ),
-                        None => (String::new(), 0, 0),
-                    };
                     wire::encode_frame_into(
-                        &WireFrame::Init {
-                            program: program.to_string(),
-                            shm_path,
-                            slot_len,
-                            slots,
-                            base: Box::new(base),
-                        },
+                        &WireFrame::Init { program: program.to_string(), base: Box::new(base) },
                         &mut buf,
                     )?;
                 }
@@ -1354,7 +1101,7 @@ pub(crate) fn run_batch(
                 return None;
             }
         };
-        // Fresh worker, fresh shm handle: re-encode so it gets `Init`.
+        // Fresh worker: re-encode so it gets `Init`.
         (buf, held) = match encode_batch(&worker, program, runs, spec) {
             Ok(v) => v,
             Err(e) => {
@@ -1404,57 +1151,9 @@ pub(crate) fn run_batch(
                 worker.runs += 1;
                 metrics.counter("isolate.runs").inc();
                 out.push(*result);
-                if let Some(shm) = &mut worker.shm {
-                    // The worker has processed `Init` (it answered a
-                    // run), so it holds the mapping: safe to unlink.
-                    shm.unlink();
-                }
                 mark = Instant::now();
             }
-            Ok(Event::ResultShm { iter: i, slot, len }) if i == expect => {
-                let Some(shm) = &mut worker.shm else {
-                    kill_worker(&mut worker);
-                    fill_infra!(
-                        out,
-                        "worker protocol violation: ResultShm without a ring".to_string()
-                    );
-                };
-                if slot as usize >= shm.slots || len as usize > shm.slot_len {
-                    kill_worker(&mut worker);
-                    fill_infra!(
-                        out,
-                        format!(
-                            "worker protocol violation: shm slot {slot}/len {len} out of range"
-                        )
-                    );
-                }
-                let decode_started = Instant::now();
-                // Zero-copy: decode straight out of the mapping. The
-                // pipe frame orders the worker's slot write before this
-                // read.
-                let decoded = {
-                    let bytes =
-                        unsafe { shm.map.slice(slot as usize * shm.slot_len, len as usize) };
-                    wire::decode_result(&mut goat_trace::wire::Reader::new(bytes))
-                };
-                match decoded {
-                    Ok(result) => {
-                        metrics
-                            .histogram("isolate.ipc_deser_ns")
-                            .record(decode_started.elapsed().as_nanos() as u64);
-                        worker.runs += 1;
-                        metrics.counter("isolate.runs").inc();
-                        out.push(result);
-                        shm.unlink();
-                        mark = Instant::now();
-                    }
-                    Err(e) => {
-                        kill_worker(&mut worker);
-                        fill_infra!(out, format!("worker sent a corrupt shm result: {e}"));
-                    }
-                }
-            }
-            Ok(Event::Result { iter: i, .. } | Event::ResultShm { iter: i, .. }) => {
+            Ok(Event::Result { iter: i, .. }) => {
                 kill_worker(&mut worker);
                 fill_infra!(
                     out,
@@ -1639,11 +1338,14 @@ mod tests {
 
     #[test]
     fn pool_keys_separate_data_planes() {
-        let json = IpcSpec { mode: IpcMode::Json, shm: false, batch: 1 };
-        let bin = IpcSpec { mode: IpcMode::Bin, shm: false, batch: 1 };
-        let bin_shm = IpcSpec { mode: IpcMode::Bin, shm: true, batch: 4 };
-        let keys = [pool_key("goat", &json), pool_key("goat", &bin), pool_key("goat", &bin_shm)];
-        assert_eq!(keys.iter().collect::<std::collections::HashSet<_>>().len(), 3);
+        let json = IpcSpec { mode: IpcMode::Json, batch: 1 };
+        let bin = IpcSpec { mode: IpcMode::Bin, batch: 1 };
+        let bin_batch4 = IpcSpec { mode: IpcMode::Bin, batch: 4 };
+        let keys = [pool_key("goat", &json), pool_key("goat", &bin)];
+        assert_ne!(keys[0], keys[1]);
+        // The batch window is per write, not per worker: batched and
+        // unbatched campaigns share idle workers.
+        assert_eq!(pool_key("goat", &bin_batch4), keys[1]);
         // Scoped fault plans split the key further: a worker spawned
         // under one plan is never handed to a campaign under another.
         let g = faultpoint::scoped("worker:garbage-frame");
@@ -1693,28 +1395,5 @@ mod tests {
         assert_eq!(base.max_steps, 1234);
         assert_eq!(base.trace, cfg.trace);
         assert_eq!(base.pool, cfg.pool);
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn shm_ring_roundtrips_bytes_across_mappings() {
-        let Some(mut handle) = create_shm(2, 4096) else {
-            // mmap unavailable in this sandbox — the pipe fallback path
-            // is what ships, so this is not a failure.
-            return;
-        };
-        assert!(handle.path.exists());
-        // Simulate the worker side: a second writable mapping of the
-        // same file.
-        let file = std::fs::OpenOptions::new().read(true).write(true).open(&handle.path).unwrap();
-        let wmap = ShmMap::map(&file, 2 * 4096, true).expect("writable mapping");
-        let msg = b"zero-copy result payload";
-        unsafe {
-            wmap.write_at(4096, msg);
-        }
-        let back = unsafe { handle.map.slice(4096, msg.len()) };
-        assert_eq!(back, msg);
-        handle.unlink();
-        assert!(!handle.path.exists());
     }
 }

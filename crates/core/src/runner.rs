@@ -178,9 +178,8 @@ pub struct GoatConfig {
     /// *consecutive* iterations with a zero coverage delta. Defaults to
     /// `GOAT_SATURATION_WINDOW` (off when unset or 0).
     pub saturation_window: Option<usize>,
-    /// Token-handoff spin budget override passed through to
-    /// [`goat_runtime::Config::spin`]; `None` leaves the runtime's own
-    /// default (the `GOAT_SPIN` environment variable, 100 when unset).
+    /// No effect; the handoff always parks. Kept only because the
+    /// benchmark crate reads it.
     pub spin: Option<u32>,
     /// Process-isolation mode: [`IsolateMode::Proc`] runs every
     /// iteration inside a sandboxed worker subprocess (spawned from
@@ -199,11 +198,6 @@ pub struct GoatConfig {
     /// JSON as the debug/compat path. Defaults to the `GOAT_IPC`
     /// environment variable. Results are byte-identical either way.
     pub ipc: crate::isolate::IpcMode,
-    /// Ship bulky result payloads through a file-backed shared-memory
-    /// ring instead of the pipe (binary mode only; falls back to the
-    /// pipe when mapping fails). Defaults to the `GOAT_IPC_SHM`
-    /// environment variable (off when unset).
-    pub ipc_shm: bool,
     /// `Run` frames sent to a worker per pipe write. Batching amortizes
     /// write/wake costs; the effective batch is capped at the guided
     /// bandit's feedback lag so guided campaigns stay byte-identical
@@ -259,10 +253,6 @@ impl Default for GoatConfig {
                 .ok()
                 .filter(|v| !v.is_empty()),
             ipc: crate::isolate::IpcMode::from_env(),
-            ipc_shm: matches!(
-                std::env::var(crate::isolate::IPC_SHM_ENV).ok().as_deref(),
-                Some("1") | Some("on") | Some("true") | Some("yes")
-            ),
             ipc_batch: std::env::var(crate::isolate::IPC_BATCH_ENV)
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
@@ -358,8 +348,8 @@ impl GoatConfig {
         self
     }
 
-    /// Set the token-handoff spin budget (overrides `GOAT_SPIN`;
-    /// 0 parks immediately).
+    /// No effect; the handoff always parks. Kept only because the
+    /// benchmark crate reads it.
     pub fn with_spin(mut self, spin: u32) -> Self {
         self.spin = Some(spin);
         self
@@ -402,13 +392,6 @@ impl GoatConfig {
         self
     }
 
-    /// Enable or disable the shared-memory result ring (overrides
-    /// `GOAT_IPC_SHM`; only effective under binary IPC).
-    pub fn with_ipc_shm(mut self, on: bool) -> Self {
-        self.ipc_shm = on;
-        self
-    }
-
     /// Set the worker run-batching window (overrides `GOAT_IPC_BATCH`).
     pub fn with_ipc_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "IPC batch must be at least 1");
@@ -435,7 +418,7 @@ impl GoatConfig {
 
     /// The resolved IPC data-plane settings for this campaign.
     pub(crate) fn ipc_spec(&self) -> crate::isolate::IpcSpec {
-        crate::isolate::IpcSpec { mode: self.ipc, shm: self.ipc_shm, batch: self.effective_batch() }
+        crate::isolate::IpcSpec { mode: self.ipc, batch: self.effective_batch() }
     }
 
     /// Runtime config for iteration `iter`; a guided campaign overlays
@@ -457,10 +440,7 @@ impl GoatConfig {
                 .with_yield_prob(a.yield_prob)
                 .with_strategy(a.strategy);
         }
-        match self.spin {
-            Some(s) => cfg.with_spin(s),
-            None => cfg,
-        }
+        cfg
     }
 }
 

@@ -273,7 +273,8 @@ struct Stream {
     /// Claimed-but-undelivered iterations (drives the kernels-in-flight
     /// gauge).
     inflight: usize,
-    /// Unspent base budget donated at finalize (early stoppers only).
+    /// Unspent base budget donated when the stream halts (early
+    /// stoppers only).
     released: usize,
 }
 
@@ -411,6 +412,7 @@ fn deliver(
     let delivered = results.len();
     let mut merged_now = 0usize;
     let mut halted_now = false;
+    let mut released = 0usize;
     {
         let mut live = slots[k].live.lock().expect("slot merge");
         if let Some(sm) = live.as_mut() {
@@ -446,6 +448,9 @@ fn deliver(
                 // streaming executor's post-stop claims.
                 sm.expect += 1;
             }
+            if halted_now {
+                released = released_budget(slots[k].goat.config(), &sm.m);
+            }
         }
         // A `None` slot was already finalized: these results are
         // speculative leftovers from a pre-halt claim — dropped.
@@ -458,6 +463,13 @@ fn deliver(
         s.merged += merged_now;
         if halted_now {
             s.halted = true;
+            // Recorded under the lock that marks the stream complete,
+            // so the barrier never sees a donor whose budget is not yet
+            // in the pool. Extension-phase stops never re-donate:
+            // redistribution is a single deterministic round.
+            if !barrier_open {
+                s.released = released;
+            }
         }
         let mut finalize = false;
         if !s.complete && (s.halted || s.merged >= s.cutoff) {
@@ -476,24 +488,33 @@ fn deliver(
         finalize
     };
     if finalize {
+        goat_runtime::faultpoint::delay("suite_finalize");
         finalize_slot(slots, queue, warm, k);
     }
 }
 
-/// Close out one kernel: final checkpoint write, donate unspent budget
-/// (pre-barrier early stoppers only), recycle the analysis scratch into
-/// the warm pool, package the [`CampaignResult`] for in-order emission
-/// and account the completion — the last finalize shuts the queue down.
+/// The base budget a kernel that stopped early leaves unspent, which it
+/// donates to the realloc pool. Only bug and saturation stops donate: a
+/// quarantined kernel's skipped iterations are forfeited, not banked.
+fn released_budget(cfg: &GoatConfig, m: &MergeState) -> usize {
+    let early_stop = (cfg.stop_on_bug && m.bug.is_some()) || m.saturated.is_some();
+    if early_stop {
+        cfg.iterations.saturating_sub(m.records.len())
+    } else {
+        0
+    }
+}
+
+/// Close out one kernel: final checkpoint write, recycle the analysis
+/// scratch into the warm pool, package the [`CampaignResult`] for
+/// in-order emission and account the completion — the last finalize
+/// shuts the queue down.
 fn finalize_slot(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, k: usize) {
     let slot = &slots[k];
     let Some(mut sm) = slot.live.lock().expect("slot merge").take() else { return };
     if let Some(c) = sm.ckpt.as_mut() {
         c.finalize(&sm.m);
     }
-    let base_iters = slot.goat.config().iterations;
-    let early_stop =
-        (slot.goat.config().stop_on_bug && sm.m.bug.is_some()) || sm.m.saturated.is_some();
-    let released = if early_stop { base_iters.saturating_sub(sm.m.records.len()) } else { 0 };
     if warm.enabled {
         warm.bufs.lock().expect("warm pool").push(std::mem::take(&mut sm.m.bufs));
     }
@@ -510,11 +531,6 @@ fn finalize_slot(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, k: usize) 
     );
     *slot.done.lock().expect("slot result") = Some(result);
     let mut st = queue.state.lock().expect("suite queue");
-    if !st.barrier_open {
-        // Extension-phase stops never re-donate: redistribution is a
-        // single deterministic round.
-        st.streams[k].released = released;
-    }
     st.streams[k].halted = true;
     st.streams[k].complete = true;
     st.finalized += 1;
@@ -725,7 +741,9 @@ pub fn run_suite(
                 && suite.realloc
                 && preset_grants.is_none(),
             inflight: 0,
-            released: 0,
+            // A kernel resumed as already stopped donates here, since
+            // no delivery will ever record it.
+            released: if resumed_stopped { released_budget(cfg, &m) } else { 0 },
         };
         let t0 = telemetry_on.then(Instant::now);
         slots.push(Slot {
@@ -987,6 +1005,27 @@ mod tests {
         // budget on the clean kernels.
         let extended = seq.iter().filter(|l| l.contains("clean") && !l.contains(" n=10 ")).count();
         assert!(extended > 0, "no clean kernel ran an extension: {seq:?}");
+    }
+
+    #[test]
+    fn realloc_pool_counts_a_donor_still_finalizing_at_the_barrier() {
+        // Hold every halted kernel in the gap between its stream turning
+        // complete and its finalize. With one worker the last kernel,
+        // a leak that stops on its first iteration, is the one that
+        // opens the barrier, so the coordinator reallocates while that
+        // donor is still in the gap. Its unspent budget must be in the
+        // pool all the same.
+        let _g = goat_runtime::faultpoint::scoped("suite_finalize:delay:50");
+        let base = GoatConfig::default().with_iterations(10).with_delay_bound(1);
+        let suite = SuiteConfig::default().with_jobs(1).with_realloc(true);
+        let mut unspent = 0;
+        let stats = run_suite(&base, &suite, &mixed_kernels(), &mut |_, name, result| {
+            if name.contains("leak") {
+                unspent += 10 - result.records.len();
+            }
+        });
+        assert!(unspent > 0, "leak kernels should stop early");
+        assert_eq!(stats.budget_donated, unspent, "a donor's budget is missing from the pool");
     }
 
     #[test]

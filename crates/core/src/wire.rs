@@ -10,14 +10,12 @@
 //!   corrupt/oversized-stream handling and the garbage-frame fault
 //!   profile behave identically in both modes; only the payload bytes
 //!   differ (`[u8 frame tag][varint fields…]` instead of JSON);
-//! * an `Init` frame carries the campaign-constant [`Config`] base (and
-//!   the shared-memory geometry) **once per worker checkout**, so every
-//!   `Run` frame is a handful of bytes: the iteration, plus exactly the
-//!   per-run delta the campaign runner varies (seed, delay bound, yield
-//!   probability, strategy);
+//! * an `Init` frame carries the campaign-constant [`Config`] base
+//!   **once per worker checkout**, so every `Run` frame is a handful of
+//!   bytes: the iteration, plus exactly the per-run delta the campaign
+//!   runner varies (seed, delay bound, yield probability, strategy);
 //! * `Result` payloads embed the trace through the varint-delta event
-//!   codec of [`goat_trace::wire`]; `ResultShm` replaces the payload
-//!   with a slot reference into the file-backed shared-memory ring.
+//!   codec of [`goat_trace::wire`].
 //!
 //! Every codec here is lossless and total: `decode(encode(x)) == x`
 //! for arbitrary values (differential proptests against the JSON path
@@ -39,10 +37,9 @@ fn err(msg: impl std::fmt::Display) -> io::Error {
 
 /// One message on the binary worker wire.
 ///
-/// `Ready`/`Ack`/`Heartbeat` mirror their JSON counterparts;
+/// `Ready`/`Ack`/`Heartbeat`/`Result` mirror their JSON counterparts;
 /// `Init`/`Run` split the JSON `Run{cfg}` frame into a per-checkout
-/// base and a per-run delta; `Result`/`ResultShm` are the two return
-/// paths (pipe payload vs shared-memory slot).
+/// base and a per-run delta.
 #[derive(Debug, Clone)]
 pub enum WireFrame {
     /// Worker → orchestrator: startup handshake (after the rlimit jail).
@@ -53,13 +50,6 @@ pub enum WireFrame {
     Init {
         /// Program name, resolved by the worker's registry.
         program: String,
-        /// Shared-memory ring file path; empty when results must travel
-        /// over the pipe.
-        shm_path: String,
-        /// Byte length of one shm slot.
-        slot_len: u64,
-        /// Number of shm slots (the batching window).
-        slots: u64,
         /// The base [`Config`]: every field a `Run` delta does not
         /// override.
         base: Box<Config>,
@@ -89,23 +79,12 @@ pub enum WireFrame {
         /// Iteration currently being served (0 when idle).
         iter: u64,
     },
-    /// Worker → orchestrator: the result, inline on the pipe.
+    /// Worker → orchestrator: the iteration's complete result.
     Result {
         /// Iteration the result belongs to.
         iter: u64,
         /// The run's full result (boxed: dwarfs the other variants).
         result: Box<RunResult>,
-    },
-    /// Worker → orchestrator: the result was written to shm slot `slot`
-    /// (`len` bytes of [`encode_result`] output); only this reference
-    /// crosses the pipe.
-    ResultShm {
-        /// Iteration the result belongs to.
-        iter: u64,
-        /// Ring slot holding the encoded result.
-        slot: u64,
-        /// Encoded byte length within the slot.
-        len: u64,
     },
 }
 
@@ -115,7 +94,8 @@ const F_RUN: u8 = 2;
 const F_ACK: u8 = 3;
 const F_HEARTBEAT: u8 = 4;
 const F_RESULT: u8 = 5;
-const F_RESULT_SHM: u8 = 6;
+// Tag 6 belonged to a retired shared-memory result reference; it now
+// decodes as a bad tag, so a stale worker degrades to an infra failure.
 
 fn put_strategy(buf: &mut Vec<u8>, s: &StrategyKind) {
     match s {
@@ -244,7 +224,6 @@ pub fn encode_config(cfg: &Config, buf: &mut Vec<u8>) {
     put_strategy(buf, &cfg.strategy);
     put_bool(buf, cfg.pool);
     put_opt_u64(buf, cfg.iter_timeout_ms);
-    put_uvarint(buf, u64::from(cfg.spin));
 }
 
 /// Decode a [`Config`] written by [`encode_config`].
@@ -262,7 +241,7 @@ pub fn decode_config(r: &mut Reader<'_>) -> io::Result<Config> {
         strategy: get_strategy(r)?,
         pool: r.bool()?,
         iter_timeout_ms: get_opt_u64(r)?,
-        spin: r.uvarint()? as u32,
+        spin: 0,
     })
 }
 
@@ -351,8 +330,7 @@ fn get_outcome(r: &mut Reader<'_>) -> io::Result<RunOutcome> {
 
 /// Append a full [`RunResult`] in wire form. The trace, when present,
 /// travels through the varint-delta event codec of
-/// [`goat_trace::wire`]; this is also the payload format of a
-/// shared-memory slot.
+/// [`goat_trace::wire`].
 pub fn encode_result(result: &RunResult, buf: &mut Vec<u8>) {
     put_outcome(buf, &result.outcome);
     match &result.ect {
@@ -480,12 +458,9 @@ pub fn encode_frame_into(frame: &WireFrame, buf: &mut Vec<u8>) -> io::Result<()>
     buf.extend_from_slice(&[0u8; 4]);
     match frame {
         WireFrame::Ready => buf.push(F_READY),
-        WireFrame::Init { program, shm_path, slot_len, slots, base } => {
+        WireFrame::Init { program, base } => {
             buf.push(F_INIT);
             put_str(buf, program);
-            put_str(buf, shm_path);
-            put_uvarint(buf, *slot_len);
-            put_uvarint(buf, *slots);
             encode_config(base, buf);
         }
         WireFrame::Run { iter, seed, delay_bound, yield_prob, strategy } => {
@@ -509,12 +484,6 @@ pub fn encode_frame_into(frame: &WireFrame, buf: &mut Vec<u8>) -> io::Result<()>
             put_uvarint(buf, *iter);
             encode_result(result, buf);
         }
-        WireFrame::ResultShm { iter, slot, len } => {
-            buf.push(F_RESULT_SHM);
-            put_uvarint(buf, *iter);
-            put_uvarint(buf, *slot);
-            put_uvarint(buf, *len);
-        }
     }
     let payload_len = buf.len() - start - 4;
     let Ok(len32) = u32::try_from(payload_len) else {
@@ -532,9 +501,6 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<WireFrame> {
         F_READY => WireFrame::Ready,
         F_INIT => WireFrame::Init {
             program: r.str()?.to_string(),
-            shm_path: r.str()?.to_string(),
-            slot_len: r.uvarint()?,
-            slots: r.uvarint()?,
             base: Box::new(decode_config(&mut r)?),
         },
         F_RUN => WireFrame::Run {
@@ -550,9 +516,6 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<WireFrame> {
             let iter = r.uvarint()?;
             WireFrame::Result { iter, result: Box::new(decode_result(&mut r)?) }
         }
-        F_RESULT_SHM => {
-            WireFrame::ResultShm { iter: r.uvarint()?, slot: r.uvarint()?, len: r.uvarint()? }
-        }
         other => return Err(err(format_args!("bad frame tag {other}"))),
     };
     if !r.is_empty() {
@@ -562,8 +525,8 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<WireFrame> {
 }
 
 /// FNV-1a over a byte string — the init-hash primitive: the
-/// orchestrator hashes (program, encoded base config, fault-plan spec,
-/// shm geometry) to decide whether a checked-out worker's cached `Init`
+/// orchestrator hashes (program, encoded base config, fault-plan spec)
+/// to decide whether a checked-out worker's cached `Init`
 /// state is still valid.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -592,7 +555,6 @@ mod tests {
             WireFrame::Ready,
             WireFrame::Ack { iter: 7 },
             WireFrame::Heartbeat { iter: 0 },
-            WireFrame::ResultShm { iter: 9, slot: 3, len: 12345 },
             WireFrame::Run {
                 iter: 41,
                 seed: u64::MAX,
@@ -647,15 +609,9 @@ mod tests {
             strategy: StrategyKind::Random,
             pool: false,
             iter_timeout_ms: Some(2000),
-            spin: 100,
+            spin: 0,
         };
-        let frame = WireFrame::Init {
-            program: "etcd6708".into(),
-            shm_path: "/tmp/goat-shm-1-2".into(),
-            slot_len: 16 << 20,
-            slots: 8,
-            base: Box::new(base.clone()),
-        };
+        let frame = WireFrame::Init { program: "etcd6708".into(), base: Box::new(base.clone()) };
         let WireFrame::Init { base: back, .. } = roundtrip(&frame) else { panic!("wrong frame") };
         // Config has no PartialEq; compare through the JSON codec.
         assert_eq!(serde_json::to_string(&*back).unwrap(), serde_json::to_string(&base).unwrap());
@@ -726,6 +682,17 @@ mod tests {
             let e = decode_frame(payload).expect_err("must reject");
             assert_eq!(e.kind(), ErrorKind::InvalidData, "payload {payload:?}");
         }
+    }
+
+    #[test]
+    fn retired_result_shm_tag_is_invalid_data() {
+        // A stale worker still speaking the shared-memory result
+        // reference (tag 6: iter, slot, len) must decode as corrupt, so
+        // the orchestrator records a retried infra failure, never a
+        // panic.
+        let e = decode_frame(&[6, 9, 3, 0xb9, 0x60]).expect_err("must reject");
+        assert_eq!(e.kind(), ErrorKind::InvalidData);
+        assert!(e.to_string().contains("bad frame tag 6"), "{e}");
     }
 
     #[test]

@@ -116,36 +116,9 @@ pub struct Config {
     /// abandons the run with [`RunOutcome::TimedOut`] even if no
     /// goroutine ever re-enters the runtime.
     pub iter_timeout_ms: Option<u64>,
-    /// Token-handoff spin budget: rounds a goroutine polls for the run
-    /// token (with exponentially growing [`std::hint::spin_loop`]
-    /// batches) before parking on a condvar. `0` disables spinning —
-    /// park-only, the pre-spin behaviour. Defaults from the `GOAT_SPIN`
-    /// environment variable; unset, the default is 100 on multi-core
-    /// hosts and 0 on single-CPU hosts (where a spin window can never
-    /// overlap the granting thread). Scheduling decisions and traces
-    /// are identical at every setting; only handoff latency changes.
+    /// No effect; the handoff always parks. Kept only because the
+    /// benchmark crate reads it.
     pub spin: u32,
-}
-
-/// The process-wide `GOAT_SPIN` default, read once.
-///
-/// When the variable is unset the default is host-aware: spinning for a
-/// grant only ever succeeds while the *granting* thread runs on another
-/// core, so on a single-CPU host every spin window is pure delay (the
-/// spinner occupies the only core the granter needs) and the default
-/// collapses to 0 (park immediately). An explicit `GOAT_SPIN` always
-/// wins — useful for testing the spin path itself.
-pub(crate) fn default_spin() -> u32 {
-    use std::sync::OnceLock;
-    static SPIN: OnceLock<u32> = OnceLock::new();
-    *SPIN.get_or_init(|| {
-        std::env::var("GOAT_SPIN").ok().and_then(|v| v.parse::<u32>().ok()).unwrap_or_else(|| {
-            match std::thread::available_parallelism() {
-                Ok(n) if n.get() > 1 => 100,
-                _ => 0,
-            }
-        })
-    })
 }
 
 impl Config {
@@ -209,7 +182,8 @@ impl Config {
         self
     }
 
-    /// Set the token-handoff spin budget (0 = park only).
+    /// No effect; the handoff always parks. Kept only because the
+    /// benchmark crate reads it.
     pub fn with_spin(mut self, spin: u32) -> Self {
         self.spin = spin;
         self
@@ -240,7 +214,7 @@ impl Default for Config {
                 .ok()
                 .and_then(|v| v.parse::<u64>().ok())
                 .filter(|&ms| ms > 0),
-            spin: default_spin(),
+            spin: 0,
         }
     }
 }

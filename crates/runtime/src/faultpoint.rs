@@ -27,6 +27,7 @@
 //! | `worker`        | `kill`  | `<sig>[@seed=N]` | isolated worker raises signal `<sig>` on run N (worker-death forensics path) |
 //! | `worker`        | `wedge` | `seed=N`    | isolated worker stops heartbeating on run N (outside-SIGKILL path) |
 //! | `worker`        | `garbage-frame` | `seed=N` | isolated worker answers run N with a corrupt frame (protocol-recovery path) |
+//! | `suite_finalize` | `delay` | `<ms>`     | a suite worker sleeps between marking a halted kernel complete and finalizing it (realloc-barrier race) |
 //!
 //! (`sink:err[:after=N]` is honoured by `goat-metrics`' JSONL sink,
 //! which sits below this crate; the grammar is shared.)
@@ -83,6 +84,9 @@ enum Action {
     WorkerKill { sig: i32, seed: Option<u64> },
     /// Isolated worker answers the matching run with a corrupt frame.
     GarbageFrame { seed: Option<u64> },
+    /// Sleep for `ms` milliseconds at the site: widens a race window so
+    /// a test hits it on every run.
+    Delay { ms: u64 },
 }
 
 #[derive(Debug, Clone)]
@@ -159,6 +163,7 @@ fn parse_spec(one: &str) -> Option<Spec> {
             };
             Action::GarbageFrame { seed }
         }
+        "delay" => Action::Delay { ms: param?.parse::<u64>().ok()? },
         _ => return None,
     };
     Some(Spec { site: site.to_string(), action })
@@ -271,6 +276,23 @@ pub fn should_fail(site: &str) -> Option<String> {
         None
     })
     .flatten()
+}
+
+/// Sleep at `site` when the plan holds a `<site>:delay:<ms>` spec. The
+/// seam between two steps of a concurrent protocol calls this, so a
+/// test can hold one thread in the gap while the others run on.
+pub fn delay(site: &str) {
+    let ms = with_plan(|plan| {
+        plan.specs.iter().find_map(|spec| match spec.action {
+            Action::Delay { ms } if spec.site == site => Some(ms),
+            _ => None,
+        })
+    })
+    .flatten();
+    if let Some(ms) = ms {
+        note_injected(site, &format!("injected fault: {site}:delay:{ms}"));
+        std::thread::sleep(std::time::Duration::from_millis(ms));
+    }
 }
 
 /// Seed-keyed fault for `site` (a spec without `seed=` fires on every
@@ -413,6 +435,14 @@ mod tests {
         assert!(parse_spec("worker:kill:notasig").is_none());
         assert!(parse_spec("worker:kill:99").is_none());
         assert!(parse_spec("worker:garbage-frame:seed=x").is_none());
+    }
+
+    #[test]
+    fn parses_delay_seams() {
+        let spec = parse_spec("suite_finalize:delay:20").expect("valid delay");
+        assert!(matches!(spec.action, Action::Delay { ms: 20 }));
+        assert!(parse_spec("suite_finalize:delay").is_none());
+        assert!(parse_spec("suite_finalize:delay:soon").is_none());
     }
 
     #[test]

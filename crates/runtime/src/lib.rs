@@ -49,7 +49,7 @@ pub mod context;
 /// Deterministic fault injection (`GOAT_FAULT`) for supervision tests.
 pub mod faultpoint;
 mod monitor;
-/// Adaptive spin-then-park token-handoff parker.
+/// Condvar token-handoff parker.
 pub mod park;
 /// Shared goroutine worker-thread pool (statistics surface).
 pub mod pool;

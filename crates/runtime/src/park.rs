@@ -1,78 +1,37 @@
-//! Adaptive spin-then-park token handoff.
+//! Token handoff: one goroutine's run-token mailbox.
 //!
 //! Every scheduling decision hands the run token from one goroutine
-//! thread to another through a [`Parker`]. The original parker was a
-//! plain mutex + condvar: each handoff paid two futex round-trips (the
-//! parker's `notify_one` plus the waiter's `wait`) even when the
-//! successor was granted the token microseconds after it started
-//! waiting — the common case in a tight campaign loop, where the
-//! previous holder picks the successor while it is still on-CPU.
+//! thread to another through a [`Parker`]: the successor waits on a
+//! condvar, and the granting thread flips a mutex-guarded state word
+//! and notifies it. Handoff order is decided by the scheduler under its
+//! lock, never by the parker, so the parker only has to guarantee that
+//! a grant (or shutdown) is never lost, whether it lands before or
+//! after the consumer starts waiting.
 //!
-//! This parker spins first: a bounded number of rounds of
-//! [`std::hint::spin_loop`] with exponentially growing pause batches,
-//! consuming the grant with a single atomic exchange when it lands
-//! during the spin window. Only when the window expires does it fall
-//! back to the condvar. Symmetrically, [`Parker::grant`] is futex-free
-//! whenever the consumer is still spinning: it only locks the mutex and
-//! notifies when the consumer has already declared itself `PARKED`.
-//!
-//! The spin budget comes from [`crate::Config::spin`] (the `GOAT_SPIN`
-//! environment knob / `-spin` CLI flag); `0` disables spinning and
-//! reproduces the original park-only behaviour bit-for-bit — handoff
-//! order is decided by the scheduler under its lock, never by who wins
-//! a spin, so traces are byte-identical at every spin setting.
-//!
-//! Spinning pays off only when the granting thread can run *while* the
-//! consumer spins, i.e. on a multi-core host; on a single CPU the spin
-//! window merely delays the granter, so the env-unset default resolves
-//! to 0 there (see `Config::spin`).
+//! The waiter never spins: a spinning waiter burns the CPU the granting
+//! thread needs, which measured about 8x more CPU per iteration end to
+//! end on a 2-vCPU host (DESIGN.md §13).
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// The run token was granted to the parked goroutine.
 const GRANTED: u32 = 1;
 /// The runtime is shutting down; the parked goroutine must unwind.
 const SHUTDOWN: u32 = 2;
-/// The consumer exhausted its spin budget and holds (or is about to
-/// hold) the mutex waiting on the condvar; a producer must notify.
-const PARKED: u32 = 4;
 
 /// One goroutine's token mailbox: exactly one thread parks on it, and
 /// per park cycle exactly one producer grants (the scheduler's token
 /// discipline guarantees both).
 pub struct Parker {
-    state: AtomicU32,
-    /// Spin rounds before falling back to the condvar (0 = park only).
-    spin: u32,
-    m: Mutex<()>,
+    state: Mutex<u32>,
     cv: Condvar,
 }
 
 impl Parker {
-    /// A fresh parker with the given spin budget.
-    pub fn new(spin: u32) -> Arc<Parker> {
-        Arc::new(Parker { state: AtomicU32::new(0), spin, m: Mutex::new(()), cv: Condvar::new() })
-    }
-
-    /// Try to consume a pending grant or shutdown without blocking.
-    /// `Some(Ok(()))` = token granted, `Some(Err(()))` = shutdown,
-    /// `None` = nothing pending.
-    #[inline]
-    fn try_consume(&self) -> Option<Result<(), ()>> {
-        let st = self.state.load(Ordering::Acquire);
-        // Shutdown wins over a grant, matching the condvar parker.
-        if st & SHUTDOWN != 0 {
-            return Some(Err(()));
-        }
-        if st & GRANTED != 0 {
-            // Sole consumer + one grant per cycle: clearing the bits
-            // cannot race another consume.
-            self.state.fetch_and(!(GRANTED | PARKED), Ordering::AcqRel);
-            return Some(Ok(()));
-        }
-        None
+    /// A fresh parker with nothing pending.
+    pub fn new() -> Arc<Parker> {
+        Arc::new(Parker { state: Mutex::new(0), cv: Condvar::new() })
     }
 
     /// Wait for the run token. `Err(())` means the runtime is shutting
@@ -81,34 +40,21 @@ impl Parker {
     // dedicated error type would just restate the doc above.
     #[allow(clippy::result_unit_err)]
     pub fn park(&self) -> Result<(), ()> {
-        // Spin phase: poll with exponentially growing pause batches so
-        // a grant landing within the window is consumed without any
-        // futex traffic on either side.
-        let mut pause = 1u32;
-        for _ in 0..self.spin {
-            if let Some(r) = self.try_consume() {
-                return r;
-            }
-            for _ in 0..pause {
-                std::hint::spin_loop();
-            }
-            pause = (pause * 2).min(64);
-        }
-        // Park phase. PARKED must be published *before* re-checking the
-        // state (both under the mutex): a producer that grants between
-        // our check and the wait sees PARKED and takes the mutex to
-        // notify, which cannot complete until we are inside `cv.wait`.
-        let mut g = self.m.lock();
+        let mut st = self.state.lock();
         loop {
-            self.state.fetch_or(PARKED, Ordering::AcqRel);
-            if let Some(r) = self.try_consume() {
-                return r;
+            // Shutdown wins over a grant that lands in the same cycle.
+            if *st & SHUTDOWN != 0 {
+                return Err(());
             }
-            self.cv.wait(&mut g);
+            if *st & GRANTED != 0 {
+                *st &= !GRANTED;
+                return Ok(());
+            }
+            self.cv.wait(&mut st);
         }
     }
 
-    /// Grant the run token to the parked (or spinning) goroutine.
+    /// Grant the run token to the parked goroutine.
     pub fn grant(&self) {
         self.signal(GRANTED);
     }
@@ -119,25 +65,15 @@ impl Parker {
         self.signal(SHUTDOWN);
     }
 
-    #[inline]
     fn signal(&self, bit: u32) {
-        let prev = self.state.fetch_or(bit, Ordering::Release);
-        if prev & PARKED != 0 {
-            // The consumer is (or is about to be) on the condvar; the
-            // empty critical section orders us after its PARKED|check
-            // sequence so the notify can't be lost.
-            drop(self.m.lock());
-            self.cv.notify_one();
-        }
+        *self.state.lock() |= bit;
+        self.cv.notify_one();
     }
 }
 
 impl std::fmt::Debug for Parker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Parker")
-            .field("state", &self.state.load(Ordering::Relaxed))
-            .field("spin", &self.spin)
-            .finish()
+        f.debug_struct("Parker").field("state", &*self.state.lock()).finish()
     }
 }
 
@@ -148,16 +84,14 @@ mod tests {
 
     #[test]
     fn grant_before_park_is_consumed_immediately() {
-        for spin in [0u32, 100] {
-            let p = Parker::new(spin);
-            p.grant();
-            assert_eq!(p.park(), Ok(()));
-        }
+        let p = Parker::new();
+        p.grant();
+        assert_eq!(p.park(), Ok(()));
     }
 
     #[test]
     fn shutdown_wins_over_grant() {
-        let p = Parker::new(100);
+        let p = Parker::new();
         p.grant();
         p.shutdown();
         assert_eq!(p.park(), Err(()));
@@ -165,7 +99,7 @@ mod tests {
 
     #[test]
     fn delayed_grant_wakes_a_parked_thread() {
-        let p = Parker::new(0);
+        let p = Parker::new();
         let q = Arc::clone(&p);
         let h = std::thread::spawn(move || q.park());
         std::thread::sleep(Duration::from_millis(20));
@@ -174,8 +108,8 @@ mod tests {
     }
 
     #[test]
-    fn delayed_shutdown_wakes_a_spinning_thread() {
-        let p = Parker::new(1_000_000);
+    fn delayed_shutdown_wakes_a_parked_thread() {
+        let p = Parker::new();
         let q = Arc::clone(&p);
         let h = std::thread::spawn(move || q.park());
         std::thread::sleep(Duration::from_millis(5));

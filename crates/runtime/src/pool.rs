@@ -60,15 +60,7 @@ pub(crate) fn global() -> &'static WorkerPool {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(256);
-        WorkerPool {
-            idle: Mutex::new(Vec::new()),
-            max_idle,
-            threads_spawned: AtomicU64::new(0),
-            jobs_reused: AtomicU64::new(0),
-            workers_retired: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
-            workers_replaced: AtomicU64::new(0),
-        }
+        WorkerPool::new(max_idle)
     })
 }
 
@@ -88,6 +80,18 @@ pub(crate) fn note_abandoned(n: u64) {
 }
 
 impl WorkerPool {
+    fn new(max_idle: usize) -> WorkerPool {
+        WorkerPool {
+            idle: Mutex::new(Vec::new()),
+            max_idle,
+            threads_spawned: AtomicU64::new(0),
+            jobs_reused: AtomicU64::new(0),
+            workers_retired: AtomicU64::new(0),
+            abandoned: AtomicU64::new(0),
+            workers_replaced: AtomicU64::new(0),
+        }
+    }
+
     /// Run `job` on a pooled worker: check out an idle worker if one is
     /// parked, otherwise spawn a new one. Never blocks on pool state.
     ///
@@ -173,50 +177,12 @@ impl WorkerPool {
             // Park until the next checkout; a closed channel would mean
             // the global pool was dropped, which cannot happen, but exit
             // cleanly regardless.
-            match recv_job(&job_rx) {
-                Some(next) => job = next,
-                None => return,
+            match job_rx.recv() {
+                Ok(next) => job = next,
+                Err(_) => return,
             }
         }
     }
-}
-
-/// Spin-then-block receive of the next checkout, mirroring the token
-/// parker's adaptive budget ([`crate::config::default_spin`], the
-/// `GOAT_SPIN` knob; `0` blocks immediately). During a spawn burst the
-/// next goroutine lands on a just-checked-in worker microseconds later,
-/// and consuming it inside the spin window skips the futex wake on the
-/// checkout path. `None` means the channel closed and the worker must
-/// exit. Note the budget is the process-wide env default — per-runtime
-/// `Config::spin` overrides apply only to the token parker, because the
-/// pool outlives any single runtime.
-fn recv_job(job_rx: &Receiver<Job>) -> Option<Job> {
-    let mut pause = 1u32;
-    for _ in 0..crate::config::default_spin() {
-        match job_rx.try_recv() {
-            Ok(job) => {
-                if goat_metrics::enabled() {
-                    checkout_spun_counter().add(1);
-                }
-                return Some(job);
-            }
-            Err(mpsc::TryRecvError::Empty) => {
-                for _ in 0..pause {
-                    std::hint::spin_loop();
-                }
-                pause = (pause * 2).min(64);
-            }
-            Err(mpsc::TryRecvError::Disconnected) => return None,
-        }
-    }
-    job_rx.recv().ok()
-}
-
-/// Checkouts consumed during an idle worker's spin window (no futex
-/// wait on either side), in the global metrics registry.
-fn checkout_spun_counter() -> &'static goat_metrics::Counter {
-    static C: OnceLock<std::sync::Arc<goat_metrics::Counter>> = OnceLock::new();
-    C.get_or_init(|| goat_metrics::counter("pool.checkout_spun"))
 }
 
 /// The pool-checkout latency histogram in the global metrics registry
@@ -285,6 +251,13 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
+    /// Serializes the pool tests with each other and with every scoped
+    /// fault plan in this binary, and guarantees no `pool_checkout`
+    /// fault fires while a pool test holds it.
+    fn no_faults() -> crate::faultpoint::FaultGuard {
+        crate::faultpoint::scoped("")
+    }
+
     fn drain_until(cond: impl Fn() -> bool) {
         for _ in 0..200 {
             if cond() {
@@ -297,31 +270,32 @@ mod tests {
 
     #[test]
     fn workers_are_reused_sequentially() {
-        let before = stats();
+        let _serial = no_faults();
+        // A private pool: every other test in this binary checks out
+        // workers from the global one concurrently, so only counters no
+        // other test can move make an exact assertion sound.
+        let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool::new(256)));
         let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
+        for i in 0..10 {
             let inner = Arc::clone(&ran);
-            let target = ran.load(Ordering::SeqCst) + 1;
-            global()
-                .execute(Box::new(move || {
-                    inner.fetch_add(1, Ordering::SeqCst);
-                }))
-                .expect("checkout");
+            pool.execute(Box::new(move || {
+                inner.fetch_add(1, Ordering::SeqCst);
+            }))
+            .expect("checkout");
             // Serialize jobs so each finds the previous worker idle.
-            drain_until(|| ran.load(Ordering::SeqCst) >= target);
+            drain_until(|| {
+                ran.load(Ordering::SeqCst) > i && pool.idle.lock().expect("pool lock").len() == 1
+            });
         }
-        let after = stats();
         assert_eq!(ran.load(Ordering::SeqCst), 10);
-        // Ten sequential jobs must not have cost ten threads.
-        assert!(
-            after.threads_spawned - before.threads_spawned <= 2,
-            "expected reuse, spawned {} threads",
-            after.threads_spawned - before.threads_spawned
-        );
+        // Ten sequential jobs ran on one thread.
+        assert_eq!(pool.threads_spawned.load(Ordering::Relaxed), 1);
+        assert_eq!(pool.jobs_reused.load(Ordering::Relaxed), 9);
     }
 
     #[test]
     fn prewarm_parks_idle_workers() {
+        let _serial = no_faults();
         assert_eq!(prewarm(0), 0);
         prewarm(2);
         // Pre-spawned workers run an empty job then park; other tests
@@ -333,6 +307,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_poison_the_pool() {
+        let _serial = no_faults();
         let ran = Arc::new(AtomicUsize::new(0));
         global().execute(Box::new(|| panic!("deliberate test panic"))).expect("checkout");
         let ran2 = Arc::clone(&ran);

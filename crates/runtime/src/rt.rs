@@ -403,7 +403,7 @@ impl Sched {
             name,
             internal,
             state: GState::Runnable,
-            parker: Parker::new(self.cfg.spin),
+            parker: Parker::new(),
         });
         self.runq.push_back(gid);
         // Strategy hook: PCT draws the goroutine's initial priority

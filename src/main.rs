@@ -38,14 +38,12 @@ struct Cli {
     // Hot-path knobs: the flag seeds the matching `GOAT_*` variable
     // only when the environment leaves it unset, so an operator's env
     // always wins over a script's flag.
-    spin: Option<u32>,
     memo: Option<String>,
     trace_pool_max: Option<usize>,
     // Process isolation (flags win over GOAT_ISOLATE / GOAT_IPC /
-    // GOAT_IPC_SHM / GOAT_IPC_BATCH).
+    // GOAT_IPC_BATCH).
     isolate: Option<goat::core::IsolateMode>,
     ipc: Option<goat::core::IpcMode>,
-    ipc_shm: Option<bool>,
     ipc_batch: Option<usize>,
     // Suite knobs for `-target all` (flags win over GOAT_JOBS /
     // GOAT_SUITE_REALLOC).
@@ -76,12 +74,10 @@ fn parse_args() -> Result<Cli, String> {
         strategy: None,
         guided: None,
         saturation_window: None,
-        spin: None,
         memo: None,
         trace_pool_max: None,
         isolate: None,
         ipc: None,
-        ipc_shm: None,
         ipc_batch: None,
         jobs: None,
         realloc: None,
@@ -131,7 +127,6 @@ fn parse_args() -> Result<Cli, String> {
                 }
                 cli.saturation_window = Some(n);
             }
-            "-spin" | "--spin" => cli.spin = Some(num("-spin", take("-spin")?)?),
             "-memo" | "--memo" => {
                 let v = take("-memo")?;
                 match v.as_str() {
@@ -164,7 +159,6 @@ fn parse_args() -> Result<Cli, String> {
                 cli.jobs = Some(n);
             }
             "-realloc" | "--realloc" => cli.realloc = Some(true),
-            "-ipc-shm" | "--ipc-shm" => cli.ipc_shm = Some(true),
             "-ipc-batch" | "--ipc-batch" => {
                 let n: usize = num("-ipc-batch", take("-ipc-batch")?)?;
                 if n == 0 {
@@ -183,12 +177,8 @@ fn parse_args() -> Result<Cli, String> {
         return Err("missing -target (use '-target list' to enumerate kernels)".into());
     }
     // Seed the env-first hot-path knobs before anything reads (and
-    // caches) them: the runtime's spin budget, the analysis memo mode
-    // and the trace-buffer pool cap are all process-wide defaults
-    // resolved from GOAT_* on first use.
-    if let Some(s) = cli.spin {
-        env_default("GOAT_SPIN", &s.to_string());
-    }
+    // caches) them: the analysis memo mode and the trace-buffer pool
+    // cap are process-wide defaults resolved from GOAT_* on first use.
     if let Some(m) = &cli.memo {
         env_default("GOAT_MEMO", m);
     }
@@ -238,9 +228,6 @@ fn campaign_config(cli: &Cli) -> GoatConfig {
     if let Some(m) = cli.ipc {
         cfg = cfg.with_ipc(m);
     }
-    if let Some(on) = cli.ipc_shm {
-        cfg = cfg.with_ipc_shm(on);
-    }
     if let Some(n) = cli.ipc_batch {
         cfg = cfg.with_ipc_batch(n);
     }
@@ -280,9 +267,6 @@ fn print_help() {
          \x20 -saturation-window <int>  stop after N consecutive iterations with no new\n\
          \x20                           coverage (GOAT_SATURATION_WINDOW)\n\n\
          execution hot path (flags seed the GOAT_* env knob; env remains the override):\n\
-         \x20 -spin <int>               token-handoff spin budget before parking, 0 = park\n\
-         \x20                           immediately (GOAT_SPIN; default 100 on multi-core\n\
-         \x20                           hosts, 0 on a single CPU)\n\
          \x20 -memo <off|on|verify>     duplicate-schedule analysis memoization; verify\n\
          \x20                           re-analyzes hits and asserts equality (GOAT_MEMO)\n\
          \x20 -trace-pool-max <int>     recycled trace buffers kept per process\n\
@@ -293,9 +277,6 @@ fn print_help() {
          \x20                           jails (GOAT_ISOLATE; default off)\n\
          \x20 -ipc <bin|json>           worker wire encoding: compact binary frames or\n\
          \x20                           self-describing JSON (GOAT_IPC; default bin)\n\
-         \x20 -ipc-shm                  ship result payloads through a file-backed\n\
-         \x20                           shared-memory ring instead of the pipe; binary\n\
-         \x20                           mode only, auto-falls back (GOAT_IPC_SHM)\n\
          \x20 -ipc-batch <int>          Run frames per pipe write; capped at the guided\n\
          \x20                           feedback lag (GOAT_IPC_BATCH; default 1)\n\n\
          suite mode, -target all (flags override the matching GOAT_* env knobs):\n\

@@ -199,29 +199,21 @@ fn sigkilled_campaign_resumes_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
-// Execution-hot-path equivalence: the spin-then-park handoff and the
-// duplicate-schedule analysis memo are pure performance features — a
-// campaign's machine-readable summary must be byte-identical with
-// spinning disabled (`GOAT_SPIN=0` / park-only) and with memoization
-// off, on, or in self-checking `verify` mode.
+// Execution-hot-path equivalence: the duplicate-schedule analysis memo
+// is a pure performance feature — a campaign's machine-readable summary
+// must be byte-identical with memoization off, on, or in self-checking
+// `verify` mode.
 // ---------------------------------------------------------------------
 
 use goat::core::MemoMode;
 
-fn hot_path_summary_json(
-    kernel: &'static goat::goker::BugKernel,
-    memo: MemoMode,
-    spin: Option<u32>,
-) -> String {
-    let mut cfg = GoatConfig::default()
+fn hot_path_summary_json(kernel: &'static goat::goker::BugKernel, memo: MemoMode) -> String {
+    let cfg = GoatConfig::default()
         .with_delay_bound(2)
         .with_iterations(24)
         .with_seed0(3)
         .keep_running()
         .with_memo(memo);
-    if let Some(s) = spin {
-        cfg = cfg.with_spin(s);
-    }
     Goat::new(cfg)
         .test(Arc::new(KernelProgram(kernel)))
         .to_json_summary()
@@ -229,22 +221,16 @@ fn hot_path_summary_json(
 }
 
 #[test]
-fn campaign_summaries_identical_across_memo_and_spin() {
+fn campaign_summaries_identical_across_memo_modes() {
     for name in ["moby28462", "etcd6708", "cockroach1462"] {
         let kernel = goat::goker::by_name(name).expect("kernel");
-        let base = hot_path_summary_json(kernel, MemoMode::Off, None);
-        for (memo, spin) in [
-            (MemoMode::On, None),
-            (MemoMode::Verify, None),
-            (MemoMode::Off, Some(0)),
-            (MemoMode::On, Some(0)),
-            (MemoMode::On, Some(10_000)),
-        ] {
-            let json = hot_path_summary_json(kernel, memo, spin);
+        let base = hot_path_summary_json(kernel, MemoMode::Off);
+        for memo in [MemoMode::On, MemoMode::Verify] {
+            let json = hot_path_summary_json(kernel, memo);
             assert_eq!(
                 base, json,
-                "{name}: summary diverged at memo={memo:?} spin={spin:?} — the hot path \
-                 must be invisible to campaign reports"
+                "{name}: summary diverged at memo={memo:?} — the memo must be invisible to \
+                 campaign reports"
             );
         }
     }
@@ -408,15 +394,13 @@ fn sigkilled_isolated_campaign_resumes_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
-// IPC data-plane equivalence: the frame codec (`GOAT_IPC`), the shared-
-// memory result ring (`GOAT_IPC_SHM`) and run batching (`GOAT_IPC_BATCH`)
-// are transport optimizations — campaign reports must be byte-identical
-// whichever of them carries the runs.
+// IPC data-plane equivalence: the frame codec (`GOAT_IPC`) and run
+// batching (`GOAT_IPC_BATCH`) are transport choices — campaign reports
+// must be byte-identical whichever of them carries the runs.
 // ---------------------------------------------------------------------
 
 use goat::core::IpcMode;
 
-#[allow(clippy::too_many_arguments)]
 fn ipc_summary_json(
     kernel: &'static goat::goker::BugKernel,
     d: u32,
@@ -424,7 +408,6 @@ fn ipc_summary_json(
     iterations: usize,
     stop_on_bug: bool,
     ipc: IpcMode,
-    shm: bool,
     batch: usize,
 ) -> String {
     let mut cfg = GoatConfig::default()
@@ -434,7 +417,6 @@ fn ipc_summary_json(
         .with_isolate(IsolateMode::Proc)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"))
         .with_ipc(ipc)
-        .with_ipc_shm(shm)
         .with_ipc_batch(batch);
     if !stop_on_bug {
         cfg = cfg.keep_running();
@@ -453,13 +435,12 @@ fn campaign_summaries_identical_across_ipc_modes() {
         let kernel = goat::goker::by_name(name).expect("kernel");
         let off =
             isolated_summary_json(kernel, d, seed0, iterations, stop_on_bug, IsolateMode::Off);
-        for (leg, ipc, shm, batch) in [
-            ("proc+json", IpcMode::Json, false, 1usize),
-            ("proc+bin", IpcMode::Bin, false, 1),
-            ("proc+bin+shm", IpcMode::Bin, true, 1),
-            ("proc+bin+shm+batch4", IpcMode::Bin, true, 4),
+        for (leg, ipc, batch) in [
+            ("proc+json", IpcMode::Json, 1usize),
+            ("proc+bin", IpcMode::Bin, 1),
+            ("proc+bin+batch4", IpcMode::Bin, 4),
         ] {
-            let got = ipc_summary_json(kernel, d, seed0, iterations, stop_on_bug, ipc, shm, batch);
+            let got = ipc_summary_json(kernel, d, seed0, iterations, stop_on_bug, ipc, batch);
             assert_eq!(
                 off, got,
                 "{name}/{leg}: campaign report must be byte-identical across IPC modes"
