@@ -1,27 +1,31 @@
-//! Suite-scale orchestration: one global work-stealing iteration queue
-//! over every selected kernel.
+//! The campaign executor, and suite-scale orchestration on top of it:
+//! one global work-stealing iteration queue over every selected kernel.
 //!
-//! The paper's whole-benchmark evaluation (`-eval_conf … -freq`) runs a
-//! *suite* of campaigns, and historically the CLI ran them strictly
-//! sequentially: each kernel finished — saturation tail included —
-//! before the next one started. [`run_suite`] turns the suite itself
-//! into the unit of execution:
+//! A lone campaign ([`Goat::test`], `goat -target K`) and the paper's
+//! whole-benchmark evaluation ([`run_suite`], `-eval_conf … -freq`) do
+//! the same work: run seed-indexed iterations and merge them in
+//! iteration order. Both run on the one executor in this module; a lone
+//! campaign is a suite of one kernel with
+//! `jobs = `[`GoatConfig::parallelism`].
 //!
 //! * **Global work stealing** — every kernel becomes a claimable
-//!   *iteration stream* (`next`/`merged`/`cutoff` plus the familiar
-//!   lag-capped claim window) and `jobs` long-lived workers claim
-//!   batches from whichever stream has work, preferring the stream they
-//!   last ran (affinity) and stealing across kernels otherwise. One
-//!   kernel's saturation tail no longer serializes the suite.
-//! * **Determinism** — per-kernel results are byte-identical to the
-//!   sequential suite at any `jobs` value: every iteration's seed is
-//!   fixed up front (`seed0 + i`), merging is the only stateful step
-//!   and each kernel's merges happen in strict iteration order behind a
-//!   per-kernel reorder buffer. Cross-kernel interleaving touches no
-//!   per-kernel state. Guided campaigns keep the claim window capped at
-//!   the bandit's feedback lag, the same argument as the streaming
-//!   executor's. Report lines render through a *kernel-granularity*
-//!   reorder buffer: the `emit` callback always fires in kernel order.
+//!   *iteration stream* (`next`/`merged`/`cutoff` plus a claim window)
+//!   and `jobs` long-lived workers claim batches from whichever stream
+//!   has work, preferring the stream they last ran (affinity) and
+//!   stealing across kernels otherwise. One kernel's saturation tail
+//!   no longer serializes the suite. The calling thread is one of the
+//!   workers and also coordinates (emits results, opens the barrier),
+//!   so a one-worker campaign spawns no thread at all.
+//! * **Determinism** — per-kernel results are byte-identical at any
+//!   `jobs` value: every iteration's seed is fixed up front
+//!   (`seed0 + i`), merging is the only stateful step and each kernel's
+//!   merges happen in strict iteration order behind a per-kernel
+//!   reorder buffer. Cross-kernel interleaving touches no per-kernel
+//!   state. Guided campaigns keep the claim window capped at the
+//!   bandit's feedback lag, so the rewards an arm selection reads are
+//!   always merged before its iteration can be claimed. Results reach
+//!   the `emit` callback through a *kernel-granularity* reorder buffer:
+//!   it always fires in kernel order.
 //! * **Adaptive budget reallocation** (`GOAT_SUITE_REALLOC`) — kernels
 //!   that stop early (bug with `stop_on_bug`, or coverage saturation)
 //!   release their unspent base budget into a pool. Once *every* kernel
@@ -36,11 +40,11 @@
 //!   had `base + grant` iterations from the start.
 //! * **Warm shared resources** — the goroutine worker-thread pool and
 //!   the trace-buffer pool are process-wide and stay warm by nature;
-//!   this module additionally recycles the per-campaign analysis
+//!   the executor additionally recycles the per-campaign analysis
 //!   scratch ([`EctBuffers`]) from finished kernels into later ones
 //!   (scratch contents never affect results — it is cleared per pass)
-//!   and, under `GOAT_ISOLATE=proc`, keeps sandboxed workers pooled
-//!   across kernels instead of draining per campaign (checkouts
+//!   and, under `GOAT_ISOLATE=proc`, a suite keeps sandboxed workers
+//!   pooled across kernels instead of draining per campaign (checkouts
 //!   re-`Init` per campaign, so reuse is sound), draining once at suite
 //!   end. The analysis *memo* is deliberately **not** shared: its keys
 //!   are schedule fingerprints, which only identify a run within one
@@ -58,13 +62,14 @@
 //! in flight, cross-kernel steals, budget donated/granted, warm-pool
 //! reuse — and a `suite` JSONL event when telemetry is on.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
 use goat_metrics::Histogram;
+use goat_runtime::faultpoint;
 use goat_runtime::RunResult;
 
 use crate::bandit::{Arm, Bandit, GUIDED_LAG};
@@ -73,44 +78,45 @@ use crate::plane::EctBuffers;
 use crate::program::Program;
 use crate::runner::{CampaignResult, Checkpointer, Goat, GoatConfig, MergeState};
 
-/// Environment knob for the suite's cross-kernel worker count.
+/// Environment knob for the executor's worker count, the default of
+/// both [`SuiteConfig::jobs`] and [`GoatConfig::parallelism`].
 pub const JOBS_ENV: &str = "GOAT_JOBS";
 /// Environment knob enabling adaptive budget reallocation.
 pub const REALLOC_ENV: &str = "GOAT_SUITE_REALLOC";
 /// Schema version of the suite manifest sidecar.
 pub const SUITE_MANIFEST_VERSION: u32 = 1;
 
+/// The worker count from `GOAT_JOBS`; 1 when unset or invalid.
+pub(crate) fn default_jobs() -> usize {
+    std::env::var(JOBS_ENV)
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|n| *n >= 1)
+        .unwrap_or(1)
+}
+
 /// Suite-level orchestration knobs, separate from the per-campaign
 /// [`GoatConfig`] they multiplex.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
     /// Workers claiming iterations across kernels (`-jobs`/`GOAT_JOBS`;
-    /// defaults to `GOAT_PARALLELISM`, then 1). Results are identical
-    /// at any value.
+    /// 1 when unset). Results are identical at any value.
     pub jobs: usize,
     /// Adaptive budget reallocation (`GOAT_SUITE_REALLOC`): early
     /// stoppers donate unspent base budget to still-exploring kernels.
     /// Off by default — it extends some kernels' budgets, which changes
     /// (deterministically) what the suite reports.
     pub realloc: bool,
-    /// Keep shared resources warm across kernels: pre-spawn the
-    /// goroutine pool and recycle analysis scratch between campaigns.
-    /// On by default; the bench's cold leg turns it off.
-    pub warm: bool,
 }
 
 impl Default for SuiteConfig {
     fn default() -> Self {
-        let env_jobs = |name: &str| {
-            std::env::var(name).ok().and_then(|v| v.parse::<usize>().ok()).filter(|n| *n >= 1)
-        };
         SuiteConfig {
-            jobs: env_jobs(JOBS_ENV).or_else(|| env_jobs("GOAT_PARALLELISM")).unwrap_or(1),
+            jobs: default_jobs(),
             realloc: matches!(
                 std::env::var(REALLOC_ENV).ok().as_deref(),
                 Some("1") | Some("on") | Some("true") | Some("yes")
             ),
-            warm: true,
         }
     }
 }
@@ -126,12 +132,6 @@ impl SuiteConfig {
     /// Enable or disable adaptive budget reallocation.
     pub fn with_realloc(mut self, on: bool) -> Self {
         self.realloc = on;
-        self
-    }
-
-    /// Enable or disable warm-resource reuse across kernels.
-    pub fn with_warm(mut self, on: bool) -> Self {
-        self.warm = on;
         self
     }
 }
@@ -248,8 +248,8 @@ fn suite_fingerprint(base: &GoatConfig, names: &[String], realloc: bool) -> Stri
     )
 }
 
-/// One kernel's claimable iteration stream, guarded by the suite
-/// queue's lock.
+/// One kernel's claimable iteration stream, guarded by the queue's
+/// lock.
 struct Stream {
     /// Next unclaimed iteration index.
     next: usize,
@@ -257,7 +257,7 @@ struct Stream {
     merged: usize,
     /// One past the last claimable index; grows on an extension grant.
     cutoff: usize,
-    /// Claim window (capped at [`GUIDED_LAG`] for guided campaigns).
+    /// Claim window (see [`claim_window`]).
     window: usize,
     /// Iterations per claim ([`GoatConfig::effective_batch`]).
     batch: usize,
@@ -282,6 +282,20 @@ fn claimable(s: &Stream) -> bool {
     !s.complete && !s.halted && s.next < s.cutoff && s.next < s.merged + s.window
 }
 
+/// How far claims may run ahead of the merge point: four claims per
+/// worker, and never less than one batch — a smaller window would clip
+/// every claim below the `-ipc-batch` it was asked for. Guided
+/// campaigns cap it at the bandit's feedback lag, which
+/// [`GoatConfig::effective_batch`] already respects.
+fn claim_window(jobs: usize, cfg: &GoatConfig) -> usize {
+    let window = (jobs * 4).max(cfg.effective_batch());
+    if cfg.guided {
+        window.min(GUIDED_LAG)
+    } else {
+        window
+    }
+}
+
 struct QueueState {
     streams: Vec<Stream>,
     /// Rotating scan start so concurrent workers spread across kernels.
@@ -296,27 +310,82 @@ struct QueueState {
     inflight_max: usize,
     budget_donated: usize,
     budget_granted: usize,
+    /// Workers blocked in [`SuiteQueue::claim`]; with none, a state
+    /// change wakes nobody and skips the notify.
+    waiting: usize,
 }
 
-/// The global work-stealing queue: one lock, two condvars (workers wait
-/// for claimable work; the coordinator waits for completions).
+impl QueueState {
+    /// Every stream has completed its base budget while the
+    /// reallocation barrier is still closed.
+    fn barrier_ready(&self) -> bool {
+        !self.barrier_open && self.streams.iter().all(|s| s.complete)
+    }
+}
+
+/// What a worker does next.
+#[derive(Debug, PartialEq, Eq)]
+enum Claim {
+    /// Run iterations `lo..hi` of stream `k`, as `(k, lo, hi)`.
+    Batch(usize, usize, usize),
+    /// The coordinating worker has results to emit or the reallocation
+    /// barrier to open.
+    Coordinate,
+    /// Every campaign is finalized.
+    Shutdown,
+}
+
+/// The global work-stealing queue: one lock and one condvar, on which
+/// workers wait for claimable work and the coordinating worker also for
+/// completions.
 struct SuiteQueue {
     state: StdMutex<QueueState>,
-    work_cv: Condvar,
-    done_cv: Condvar,
+    cv: Condvar,
 }
 
 impl SuiteQueue {
+    fn new(streams: Vec<Stream>, barrier_open: bool) -> Self {
+        SuiteQueue {
+            state: StdMutex::new(QueueState {
+                streams,
+                cursor: 0,
+                finalized: 0,
+                barrier_open,
+                shutdown: false,
+                steals: 0,
+                inflight_max: 0,
+                budget_donated: 0,
+                budget_granted: 0,
+                waiting: 0,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Wake every blocked worker to re-check `st`; with none blocked
+    /// (always, with one worker) this costs no syscall.
+    fn wake(&self, st: &QueueState) {
+        if st.waiting > 0 {
+            self.cv.notify_all();
+        }
+    }
+
     /// Claim up to one batch of contiguous iterations from some
     /// kernel's stream, preferring `last` (the worker's previous
     /// kernel) and stealing from the next claimable stream otherwise.
-    /// Blocks while nothing is claimable; `None` once the suite is
-    /// over.
-    fn claim(&self, last: Option<usize>) -> Option<(usize, usize, usize)> {
+    /// The coordinating worker passes the finalize count it has
+    /// `seen` and is sent to coordinate first whenever there is more.
+    /// Blocks while there is nothing to do.
+    fn claim(&self, last: Option<usize>, seen: Option<usize>) -> Claim {
         let mut st = self.state.lock().expect("suite queue");
         loop {
             if st.shutdown {
-                return None;
+                return Claim::Shutdown;
+            }
+            // Finalize bumps `finalized` under this lock after storing
+            // its result, so checking the count here loses no wakeup.
+            if seen.is_some_and(|seen| st.finalized != seen || st.barrier_ready()) {
+                return Claim::Coordinate;
             }
             let n = st.streams.len();
             let mut pick = last.filter(|&k| claimable(&st.streams[k]));
@@ -345,9 +414,11 @@ impl SuiteQueue {
                 s.inflight += hi - lo;
                 let inflight_now = st.streams.iter().filter(|s| s.inflight > 0).count();
                 st.inflight_max = st.inflight_max.max(inflight_now);
-                return Some((k, lo, hi));
+                return Claim::Batch(k, lo, hi);
             }
-            st = self.work_cv.wait(st).expect("suite queue");
+            st.waiting += 1;
+            st = self.cv.wait(st).expect("suite queue");
+            st.waiting -= 1;
         }
     }
 }
@@ -357,7 +428,10 @@ impl SuiteQueue {
 /// buffer, and the checkpoint writer.
 struct SlotMerge {
     m: MergeState,
-    reorder: BTreeMap<usize, RunResult>,
+    /// Results awaiting their turn: entry `j` holds iteration
+    /// `expect + j`. Its capacity survives across batches, so in-order
+    /// delivery allocates nothing.
+    reorder: VecDeque<Option<RunResult>>,
     /// Next iteration index to merge.
     expect: usize,
     /// Mirror of the stream's halt, readable under the slot lock.
@@ -370,9 +444,9 @@ struct SlotMerge {
     t0: Option<Instant>,
 }
 
-/// One kernel of the suite: its program, configured campaign engine,
-/// live merge state and (after finalize) its result, awaiting in-order
-/// emission.
+/// One campaign of the executor: its program, configured campaign
+/// engine, live merge state and (after finalize) its result, awaiting
+/// in-order emission.
 struct Slot {
     name: String,
     program: Arc<dyn Program>,
@@ -384,11 +458,84 @@ struct Slot {
     claim_wait: Histogram,
 }
 
+impl Slot {
+    /// Build one campaign's slot and its claimable stream: static
+    /// model, bandit, checkpoint resume. This is the one place a
+    /// campaign is set up, for [`Goat::test`] and every suite kernel
+    /// alike. `grant` extends the budget (a resumed suite's recorded
+    /// reallocation grant).
+    ///
+    /// Resume happens here, before any worker runs: a campaign whose
+    /// sidecar says it already stopped (or already spent its budget)
+    /// starts complete, re-running nothing — that is what keeps resume
+    /// byte-identical to the uninterrupted campaign.
+    fn new(
+        program: Arc<dyn Program>,
+        cfg: GoatConfig,
+        jobs: usize,
+        grant: usize,
+    ) -> (Slot, Stream) {
+        let t0 = goat_metrics::enabled().then(Instant::now);
+        // The campaign's telemetry reports the workers it really ran on.
+        let goat = Goat::new(cfg.with_parallelism(jobs));
+        let cfg = goat.config();
+        let mut m = MergeState::new(Goat::static_model(program.as_ref()));
+        // The bandit must exist before resume so a checkpoint's reward
+        // history lands back in it.
+        m.guided = cfg.guided.then(|| {
+            Arc::new(StdMutex::new(Bandit::new(cfg.seed0, cfg.strategy, cfg.delay_bound)))
+        });
+        let ckpt = Checkpointer::new(cfg, program.name());
+        let start = ckpt.as_ref().map_or(0, |c| c.resume(&mut m));
+        let resumed_stopped = m.quarantined.is_some()
+            || m.saturated.is_some()
+            || (cfg.stop_on_bug && m.bug.is_some())
+            || cfg
+                .coverage_threshold
+                .is_some_and(|th| start > 0 && m.covered.percent(&m.universe) >= th);
+        let cutoff = cfg.iterations + grant;
+        let stream = Stream {
+            next: start,
+            merged: start,
+            cutoff,
+            window: claim_window(jobs, cfg),
+            batch: cfg.effective_batch(),
+            halted: resumed_stopped,
+            complete: resumed_stopped || start >= cutoff,
+            pending: false,
+            inflight: 0,
+            // A kernel resumed as already stopped donates here, since
+            // no delivery will ever record it.
+            released: if resumed_stopped { released_budget(cfg, &m) } else { 0 },
+        };
+        let slot = Slot {
+            name: program.name().to_string(),
+            guided: m.guided.clone(),
+            live: StdMutex::new(Some(SlotMerge {
+                m,
+                reorder: VecDeque::new(),
+                expect: start,
+                halted: resumed_stopped,
+                warmed: false,
+                ckpt,
+                reorder_depth_max: 0,
+                t0,
+            })),
+            done: StdMutex::new(None),
+            iter_wall: Histogram::default(),
+            claim_wait: Histogram::default(),
+            program,
+            goat,
+        };
+        (slot, stream)
+    }
+}
+
 /// Analysis scratch recycled from finished kernels into later ones.
+#[derive(Default)]
 struct WarmPool {
     bufs: StdMutex<Vec<EctBuffers>>,
     reused: AtomicU64,
-    enabled: bool,
 }
 
 /// End-of-suite orchestration summary on the JSONL telemetry stream.
@@ -396,6 +543,86 @@ struct WarmPool {
 struct SuiteEvent {
     kind: &'static str,
     suite: SuiteStats,
+}
+
+/// The calling thread's duties besides running iterations: emit
+/// finished campaigns in slot order and open the reallocation barrier.
+struct Coordinator<'a> {
+    emit: &'a mut dyn FnMut(usize, &str, CampaignResult),
+    realloc: Option<PersistGrants<'a>>,
+    next_emit: usize,
+    /// The queue's `finalized` count as of the last step.
+    seen: usize,
+}
+
+impl Coordinator<'_> {
+    fn step(&mut self, slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool) {
+        let barrier = {
+            let st = queue.state.lock().expect("suite queue");
+            self.seen = st.finalized;
+            st.barrier_ready()
+        };
+        if barrier {
+            apply_realloc(slots, queue, warm, self.realloc.expect("closed barrier"));
+        }
+        while self.next_emit < slots.len() {
+            let taken = slots[self.next_emit].done.lock().expect("slot result").take();
+            let Some(r) = taken else { break };
+            faultpoint::delay("suite_emit");
+            (self.emit)(self.next_emit, &slots[self.next_emit].name, r);
+            self.next_emit += 1;
+        }
+    }
+}
+
+/// One executor worker: claim a batch, run it, deliver its results,
+/// until the queue shuts down. The calling thread's worker carries the
+/// `coord` duties too, so a one-worker campaign runs on the calling
+/// thread alone.
+fn work(
+    slots: &[Slot],
+    queue: &SuiteQueue,
+    warm: &WarmPool,
+    mut coord: Option<&mut Coordinator<'_>>,
+) {
+    let telemetry_on = goat_metrics::enabled();
+    let mut last: Option<usize> = None;
+    loop {
+        let t_claim = telemetry_on.then(Instant::now);
+        let (k, lo, hi) = match queue.claim(last, coord.as_ref().map(|c| c.seen)) {
+            Claim::Batch(k, lo, hi) => (k, lo, hi),
+            Claim::Coordinate => {
+                coord.as_deref_mut().expect("coordinator").step(slots, queue, warm);
+                continue;
+            }
+            Claim::Shutdown => break,
+        };
+        let slot = &slots[k];
+        if let Some(t) = t_claim {
+            slot.claim_wait.record(t.elapsed().as_nanos() as u64);
+        }
+        last = Some(k);
+        faultpoint::delay("suite_claim");
+        // Arm selection happens at claim time in iteration order; the
+        // lag-capped window guarantees the rewards `select(i)` reads
+        // are already merged.
+        let arms: Vec<Option<Arm>> = (lo..hi).map(|i| Goat::select_arm(&slot.guided, i)).collect();
+        let t_iter = telemetry_on.then(Instant::now);
+        let results = slot.goat.run_batch_supervised(lo, &slot.program, &arms);
+        if let Some(t) = t_iter {
+            // Per-iteration share of the batch wall time: keeps the
+            // histogram at one sample per iteration, which the
+            // telemetry schema pins.
+            let per = t.elapsed().as_nanos() as u64 / arms.len() as u64;
+            for _ in 0..arms.len() {
+                slot.iter_wall.record(per);
+            }
+        }
+        deliver(slots, queue, warm, k, lo, results);
+    }
+    if let Some(c) = coord {
+        c.step(slots, queue, warm);
+    }
 }
 
 /// Deliver one claimed batch's results: insert into the kernel's
@@ -416,13 +643,21 @@ fn deliver(
     {
         let mut live = slots[k].live.lock().expect("slot merge");
         if let Some(sm) = live.as_mut() {
-            for (off, r) in results.into_iter().enumerate() {
-                sm.reorder.insert(lo + off, r);
+            // Every delivered iteration is still unmerged, so it sits at
+            // or past `expect`.
+            let first = lo - sm.expect;
+            if sm.reorder.len() < first + results.len() {
+                sm.reorder.resize_with(first + results.len(), || None);
             }
-            sm.reorder_depth_max = sm.reorder_depth_max.max(sm.reorder.len());
-            while let Some(r) = sm.reorder.remove(&sm.expect) {
+            for (off, r) in results.into_iter().enumerate() {
+                sm.reorder[first + off] = Some(r);
+            }
+            let depth = sm.reorder.iter().flatten().count();
+            sm.reorder_depth_max = sm.reorder_depth_max.max(depth);
+            while let Some(r) = sm.reorder.front_mut().and_then(Option::take) {
+                sm.reorder.pop_front();
                 if !sm.halted {
-                    if warm.enabled && !sm.warmed {
+                    if !sm.warmed {
                         // First merge for this kernel: adopt a finished
                         // kernel's grown scratch if one is available.
                         // Scratch is cleared per analysis pass, so this
@@ -444,8 +679,7 @@ fn deliver(
                     }
                 }
                 // Past a halt the remaining in-order results were
-                // speculative claims: discarded, exactly like the
-                // streaming executor's post-stop claims.
+                // speculative claims: discarded unmerged.
                 sm.expect += 1;
             }
             if halted_now {
@@ -483,12 +717,11 @@ fn deliver(
                 s.pending = true;
             }
         }
-        queue.work_cv.notify_all();
-        queue.done_cv.notify_all();
+        queue.wake(&st);
         finalize
     };
     if finalize {
-        goat_runtime::faultpoint::delay("suite_finalize");
+        faultpoint::delay("suite_finalize");
         finalize_slot(slots, queue, warm, k);
     }
 }
@@ -515,9 +748,7 @@ fn finalize_slot(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, k: usize) 
     if let Some(c) = sm.ckpt.as_mut() {
         c.finalize(&sm.m);
     }
-    if warm.enabled {
-        warm.bufs.lock().expect("warm pool").push(std::mem::take(&mut sm.m.bufs));
-    }
+    warm.bufs.lock().expect("warm pool").push(std::mem::take(&mut sm.m.bufs));
     if goat_metrics::enabled() {
         goat_metrics::set_context(Some(&slot.name));
     }
@@ -536,9 +767,8 @@ fn finalize_slot(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, k: usize) 
     st.finalized += 1;
     if st.finalized == st.streams.len() {
         st.shutdown = true;
-        queue.work_cv.notify_all();
     }
-    queue.done_cv.notify_all();
+    queue.wake(&st);
 }
 
 /// Deterministically split the donated pool across `recipients`
@@ -558,21 +788,14 @@ fn split_pool(n: usize, recipients: &[usize], pool: usize, cap: usize) -> Vec<us
     grants
 }
 
+/// Persists the grants computed at the reallocation barrier.
+type PersistGrants<'a> = &'a dyn Fn(&[usize]);
+
 /// The reallocation barrier: every stream has completed its base
-/// budget. Compute grants from the (deterministic) base-phase results —
-/// or adopt the grants a resumed manifest recorded — persist them, then
-/// re-open the recipients' streams and finalize the rest.
-#[allow(clippy::too_many_arguments)]
-fn apply_realloc(
-    slots: &[Slot],
-    queue: &SuiteQueue,
-    warm: &WarmPool,
-    base_iters: usize,
-    preset: Option<&Vec<usize>>,
-    manifest_path: Option<&PathBuf>,
-    fingerprint: &str,
-    names: &[String],
-) {
+/// budget. Compute grants from the (deterministic) base-phase results,
+/// hand them to `persist`, then re-open the recipients' streams and
+/// finalize the rest.
+fn apply_realloc(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, persist: PersistGrants<'_>) {
     let (pool, pending): (usize, Vec<usize>) = {
         let st = queue.state.lock().expect("suite queue");
         (
@@ -580,33 +803,21 @@ fn apply_realloc(
             st.streams.iter().enumerate().filter(|(_, s)| s.pending).map(|(k, _)| k).collect(),
         )
     };
-    let grants = match preset {
-        Some(g) => g.clone(),
-        None => {
-            // Recipients: pending streams (ran the full base budget
-            // without stopping) that are still exploring — detected
-            // kernels under `keep_running` are done, not starving.
-            let recipients: Vec<usize> = pending
-                .iter()
-                .copied()
-                .filter(|&k| {
-                    let live = slots[k].live.lock().expect("slot merge");
-                    live.as_ref().is_some_and(|sm| sm.m.first_detection.is_none())
-                })
-                .collect();
-            let grants = split_pool(slots.len(), &recipients, pool, base_iters);
-            if let Some(path) = manifest_path {
-                SuiteManifest {
-                    version: SUITE_MANIFEST_VERSION,
-                    fingerprint: fingerprint.to_string(),
-                    kernels: names.to_vec(),
-                    grants: Some(grants.clone()),
-                }
-                .store(path);
-            }
-            grants
-        }
-    };
+    // Recipients: pending streams (ran the full base budget without
+    // stopping) that are still exploring — detected kernels under
+    // `keep_running` are done, not starving.
+    let recipients: Vec<usize> = pending
+        .iter()
+        .copied()
+        .filter(|&k| {
+            let live = slots[k].live.lock().expect("slot merge");
+            live.as_ref().is_some_and(|sm| sm.m.first_detection.is_none())
+        })
+        .collect();
+    // Every kernel shares the suite's base config, so any slot's budget
+    // is the one-extra-base-budget cap.
+    let grants = split_pool(slots.len(), &recipients, pool, slots[0].goat.config().iterations);
+    persist(&grants);
     let to_finalize: Vec<usize> = {
         let mut st = queue.state.lock().expect("suite queue");
         st.barrier_open = true;
@@ -614,22 +825,86 @@ fn apply_realloc(
         st.budget_granted = grants.iter().sum();
         let mut finalize = Vec::new();
         for &k in &pending {
+            let s = &mut st.streams[k];
+            s.pending = false;
             if grants[k] > 0 {
-                let s = &mut st.streams[k];
                 s.cutoff += grants[k];
                 s.complete = false;
-                s.pending = false;
             } else {
-                st.streams[k].pending = false;
                 finalize.push(k);
             }
         }
-        queue.work_cv.notify_all();
+        queue.wake(&st);
         finalize
     };
     for k in to_finalize {
         finalize_slot(slots, queue, warm, k);
     }
+}
+
+/// The one campaign executor: run `slots` (with their `streams`) on
+/// `jobs` workers and hand each finished campaign to `emit` **in slot
+/// order**. With `realloc` set, streams that spend their base budget
+/// wait at the reallocation barrier, and the grants computed there are
+/// passed to `realloc` to persist; without it the barrier is open from
+/// the start. Returns the executor's counters (everything in
+/// [`SuiteStats`] but the isolated-worker reuse).
+fn execute(
+    slots: &[Slot],
+    mut streams: Vec<Stream>,
+    jobs: usize,
+    realloc: Option<PersistGrants<'_>>,
+    emit: &mut dyn FnMut(usize, &str, CampaignResult),
+) -> SuiteStats {
+    let barrier_open = realloc.is_none();
+    let mut init_finalize = Vec::new();
+    for (k, s) in streams.iter_mut().enumerate() {
+        // A stream that starts complete without having stopped spent
+        // its budget before a resume: it waits at a closed barrier like
+        // any other.
+        s.pending = s.complete && !s.halted && !barrier_open;
+        if s.complete && !s.pending {
+            init_finalize.push(k);
+        }
+    }
+    let queue = SuiteQueue::new(streams, barrier_open);
+    let warm = WarmPool::default();
+    for k in init_finalize {
+        finalize_slot(slots, &queue, &warm, k);
+    }
+
+    // The calling thread is one of the `jobs` workers and the
+    // coordinator.
+    let mut coord = Coordinator { emit, realloc, next_emit: 0, seen: 0 };
+    std::thread::scope(|scope| {
+        for _ in 1..jobs {
+            scope.spawn(|| work(slots, &queue, &warm, None));
+        }
+        work(slots, &queue, &warm, Some(&mut coord));
+    });
+
+    let st = queue.state.into_inner().expect("suite queue");
+    SuiteStats {
+        kernels: slots.len(),
+        jobs,
+        steals: st.steals,
+        kernels_inflight_max: st.inflight_max,
+        budget_donated: st.budget_donated,
+        budget_granted: st.budget_granted,
+        warm_bufs_reused: warm.reused.into_inner(),
+        ..SuiteStats::default()
+    }
+}
+
+/// Run one campaign on the executor as a suite of one:
+/// `jobs = `[`GoatConfig::parallelism`], the checkpoint path used
+/// verbatim, no reallocation and no pool prewarm.
+pub(crate) fn run_campaign(goat: &Goat, program: Arc<dyn Program>) -> CampaignResult {
+    let jobs = goat.config().parallelism.max(1);
+    let (slot, stream) = Slot::new(program, goat.config().clone(), jobs, 0);
+    let mut result = None;
+    execute(&[slot], vec![stream], jobs, None, &mut |_, _, r| result = Some(r));
+    result.expect("the executor emits every slot")
 }
 
 /// Run every kernel in `kernels` as one suite over a global
@@ -649,18 +924,14 @@ pub fn run_suite(
     emit: &mut dyn FnMut(usize, &str, &mut CampaignResult),
 ) -> SuiteStats {
     let jobs = suite.jobs.max(1);
-    let mut stats = SuiteStats { kernels: kernels.len(), jobs, ..SuiteStats::default() };
     if kernels.is_empty() {
-        return stats;
+        return SuiteStats { jobs, ..SuiteStats::default() };
     }
-    let telemetry_on = goat_metrics::enabled();
     let reg = goat_metrics::global();
     let isolate_reused_before = reg.counter("isolate.workers_reused").get();
-    if suite.warm {
-        // Pre-spawn parked goroutine-pool workers so the first claims
-        // of a cold process do not all pay thread-creation cost.
-        goat_runtime::pool::prewarm(jobs);
-    }
+    // Pre-spawn parked goroutine-pool workers so the first claims of a
+    // cold process do not all pay thread-creation cost.
+    goat_runtime::pool::prewarm(jobs);
 
     let names: Vec<String> = kernels.iter().map(|p| p.name().to_string()).collect();
     let fingerprint = suite_fingerprint(base, &names, suite.realloc);
@@ -674,210 +945,51 @@ pub fn run_suite(
     } else {
         None
     };
-    if let Some(path) = &manifest_path {
-        if preset_grants.is_none() {
+    let store_manifest = |grants: Option<&[usize]>| {
+        if let Some(path) = &manifest_path {
             SuiteManifest {
                 version: SUITE_MANIFEST_VERSION,
                 fingerprint: fingerprint.clone(),
                 kernels: names.clone(),
-                grants: None,
+                grants: grants.map(<[usize]>::to_vec),
             }
             .store(path);
         }
-    }
-
-    let warm = WarmPool {
-        bufs: StdMutex::new(Vec::new()),
-        reused: AtomicU64::new(0),
-        enabled: suite.warm,
     };
-
-    // Build every kernel's slot and stream. Resume happens here, before
-    // any worker runs: a kernel whose sidecar says it already stopped
-    // (or already spent its budget) starts complete, re-running
-    // nothing — that is what keeps suite resume byte-identical.
-    let mut slots: Vec<Slot> = Vec::with_capacity(kernels.len());
-    let mut streams: Vec<Stream> = Vec::with_capacity(kernels.len());
-    let mut init_finalize: Vec<usize> = Vec::new();
-    for (k, program) in kernels.iter().enumerate() {
-        let name = names[k].clone();
-        let mut cfg = base.clone();
-        if let Some(bp) = &base.checkpoint {
-            cfg.checkpoint = Some(per_kernel_checkpoint(bp, &name));
-        }
-        let goat = Goat::new(cfg);
-        let cfg = goat.config();
-        let table = Goat::static_model(program.as_ref());
-        let mut m = MergeState::new(table);
-        // The bandit must exist before resume so a checkpoint's reward
-        // history lands back in it.
-        m.guided = cfg.guided.then(|| {
-            Arc::new(StdMutex::new(Bandit::new(cfg.seed0, cfg.strategy, cfg.delay_bound)))
-        });
-        let guided = m.guided.clone();
-        let ckpt = Checkpointer::new(cfg, &name);
-        let start = ckpt.as_ref().map_or(0, |c| c.resume(&mut m));
-        let resumed_stopped = m.quarantined.is_some()
-            || m.saturated.is_some()
-            || (cfg.stop_on_bug && m.bug.is_some())
-            || cfg
-                .coverage_threshold
-                .is_some_and(|th| start > 0 && m.covered.percent(&m.universe) >= th);
-        let mut window = jobs * 4;
-        if cfg.guided {
-            window = window.min(GUIDED_LAG);
-        }
-        let cutoff = cfg.iterations + preset_grants.as_ref().map_or(0, |g| g[k]);
-        let stream = Stream {
-            next: start,
-            merged: start,
-            cutoff,
-            window: window.max(1),
-            batch: cfg.effective_batch(),
-            halted: resumed_stopped,
-            complete: resumed_stopped || start >= cutoff,
-            pending: !resumed_stopped
-                && start >= cutoff
-                && suite.realloc
-                && preset_grants.is_none(),
-            inflight: 0,
-            // A kernel resumed as already stopped donates here, since
-            // no delivery will ever record it.
-            released: if resumed_stopped { released_budget(cfg, &m) } else { 0 },
-        };
-        let t0 = telemetry_on.then(Instant::now);
-        slots.push(Slot {
-            name,
-            program: Arc::clone(program),
-            goat,
-            guided,
-            live: StdMutex::new(Some(SlotMerge {
-                m,
-                reorder: BTreeMap::new(),
-                expect: start,
-                halted: resumed_stopped,
-                warmed: false,
-                ckpt,
-                reorder_depth_max: 0,
-                t0,
-            })),
-            done: StdMutex::new(None),
-            iter_wall: Histogram::default(),
-            claim_wait: Histogram::default(),
-        });
-        if stream.complete && !stream.pending {
-            init_finalize.push(k);
-        }
-        streams.push(stream);
+    if preset_grants.is_none() {
+        store_manifest(None);
     }
 
-    let queue = SuiteQueue {
-        state: StdMutex::new(QueueState {
-            streams,
-            cursor: 0,
-            finalized: 0,
-            barrier_open: !suite.realloc || preset_grants.is_some(),
-            shutdown: false,
-            steals: 0,
-            inflight_max: 0,
-            budget_donated: 0,
-            budget_granted: preset_grants.as_ref().map_or(0, |g| g.iter().sum()),
-        }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-    };
-    for k in init_finalize {
-        finalize_slot(&slots, &queue, &warm, k);
-    }
-
-    let slots_ref = &slots;
-    let queue_ref = &queue;
-    let warm_ref = &warm;
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(move || {
-                let mut last: Option<usize> = None;
-                loop {
-                    let t_claim = telemetry_on.then(Instant::now);
-                    let Some((k, lo, hi)) = queue_ref.claim(last) else { return };
-                    let slot = &slots_ref[k];
-                    if let Some(t) = t_claim {
-                        slot.claim_wait.record(t.elapsed().as_nanos() as u64);
-                    }
-                    last = Some(k);
-                    // Arm selection happens at claim time in iteration
-                    // order; the lag-capped window guarantees the
-                    // rewards `select(i)` reads are already merged.
-                    let arms: Vec<Option<Arm>> =
-                        (lo..hi).map(|i| Goat::select_arm(&slot.guided, i)).collect();
-                    let t_iter = telemetry_on.then(Instant::now);
-                    let results = slot.goat.run_batch_supervised(lo, &slot.program, &arms);
-                    if let Some(t) = t_iter {
-                        let per = t.elapsed().as_nanos() as u64 / arms.len() as u64;
-                        for _ in 0..arms.len() {
-                            slot.iter_wall.record(per);
-                        }
-                    }
-                    deliver(slots_ref, queue_ref, warm_ref, k, lo, results);
-                }
-            });
-        }
-
-        // Coordinator: emit finished kernels in kernel order, open the
-        // reallocation barrier when every base phase is done, stop when
-        // everything is finalized.
-        let mut next_emit = 0usize;
-        loop {
-            while next_emit < slots.len() {
-                let taken = slots[next_emit].done.lock().expect("slot result").take();
-                let Some(mut r) = taken else { break };
-                emit(next_emit, &slots[next_emit].name, &mut r);
-                // Suite mode renders no per-bug trace report, so the
-                // bug trace (if any) goes straight back to the
-                // recycling pool.
-                r.recycle_bug_trace();
-                next_emit += 1;
+    let (slots, streams): (Vec<Slot>, Vec<Stream>) = kernels
+        .iter()
+        .enumerate()
+        .map(|(k, program)| {
+            let mut cfg = base.clone();
+            if let Some(bp) = &base.checkpoint {
+                cfg.checkpoint = Some(per_kernel_checkpoint(bp, &names[k]));
             }
-            let st = queue.state.lock().expect("suite queue");
-            if st.finalized == slots.len() {
-                break;
-            }
-            if !st.barrier_open && st.streams.iter().all(|s| s.complete) {
-                drop(st);
-                apply_realloc(
-                    slots_ref,
-                    queue_ref,
-                    warm_ref,
-                    base.iterations,
-                    preset_grants.as_ref(),
-                    manifest_path.as_ref(),
-                    &fingerprint,
-                    &names,
-                );
-                continue;
-            }
-            drop(queue.done_cv.wait(st).expect("suite queue"));
-        }
-        while next_emit < slots.len() {
-            let taken = slots[next_emit].done.lock().expect("slot result").take();
-            let mut r = taken.expect("every kernel finalized");
-            emit(next_emit, &slots[next_emit].name, &mut r);
-            r.recycle_bug_trace();
-            next_emit += 1;
-        }
+            let grant = preset_grants.as_ref().map_or(0, |g| g[k]);
+            Slot::new(Arc::clone(program), cfg, jobs, grant)
+        })
+        .unzip();
+    // Recorded grants are adopted verbatim: the barrier is open from the
+    // start and the streams already carry their extensions.
+    let persist = |grants: &[usize]| store_manifest(Some(grants));
+    let realloc =
+        (suite.realloc && preset_grants.is_none()).then_some(&persist as PersistGrants<'_>);
+    let mut stats = execute(&slots, streams, jobs, realloc, &mut |k, name, mut r| {
+        emit(k, name, &mut r);
+        // Suite mode renders no per-bug trace report, so the bug trace
+        // (if any) goes straight back to the recycling pool.
+        r.recycle_bug_trace();
     });
+    if let Some(g) = &preset_grants {
+        stats.budget_granted = g.iter().sum();
+    }
 
-    if telemetry_on {
+    if goat_metrics::enabled() {
         goat_metrics::set_context(None);
     }
-    {
-        let st = queue.state.lock().expect("suite queue");
-        stats.steals = st.steals;
-        stats.kernels_inflight_max = st.inflight_max;
-        stats.budget_donated = st.budget_donated;
-        stats.budget_granted = st.budget_granted;
-    }
-    stats.warm_bufs_reused = warm.reused.load(Ordering::Relaxed);
     stats.isolate_workers_reused =
         reg.counter("isolate.workers_reused").get().saturating_sub(isolate_reused_before);
     // The suite is over: the cross-kernel sandbox pool has served its
@@ -893,7 +1005,7 @@ pub fn run_suite(
     reg.counter("suite.budget_granted").add(stats.budget_granted as u64);
     reg.counter("suite.warm_bufs_reused").add(stats.warm_bufs_reused);
     reg.counter("suite.isolate_workers_reused").add(stats.isolate_workers_reused);
-    if telemetry_on {
+    if goat_metrics::enabled() {
         goat_metrics::emit(&SuiteEvent { kind: "suite", suite: stats.clone() });
         goat_metrics::flush();
     }
@@ -925,6 +1037,24 @@ mod tests {
             });
             ch.recv();
         }))
+    }
+
+    /// Leaks the sender unless it is already blocked when main polls,
+    /// which depends on the schedule: a bug some iterations find and
+    /// others miss.
+    fn racy_kernel(name: &str) -> Arc<dyn Program> {
+        Arc::new(FnProgram::new(name, || {
+            let ch: Chan<u8> = Chan::new(0);
+            let tx = ch.clone();
+            go(move || tx.send(1));
+            goat_runtime::gosched();
+            let _ = goat_runtime::Select::new().recv(&ch, |v| v).default(|| None).run();
+        }))
+    }
+
+    fn summary_json(r: &mut CampaignResult) -> String {
+        r.recycle_bug_trace();
+        serde_json::to_string(&r.summary()).expect("summary json")
     }
 
     fn suite_lines(
@@ -1010,22 +1140,27 @@ mod tests {
     #[test]
     fn realloc_pool_counts_a_donor_still_finalizing_at_the_barrier() {
         // Hold every halted kernel in the gap between its stream turning
-        // complete and its finalize. With one worker the last kernel,
-        // a leak that stops on its first iteration, is the one that
-        // opens the barrier, so the coordinator reallocates while that
-        // donor is still in the gap. Its unspent budget must be in the
-        // pool all the same.
+        // complete and its finalize. The last kernel, a leak that stops
+        // on its first iteration, is the one that opens the barrier.
+        // When a helper worker holds it, the calling thread (the
+        // coordinator) reallocates while that donor is still in the
+        // gap; its unspent budget must be in the pool all the same.
+        // With one worker the donor and the coordinator share a thread,
+        // and which worker takes the last donor varies, so the gap is
+        // probed with four workers, three times.
         let _g = goat_runtime::faultpoint::scoped("suite_finalize:delay:50");
         let base = GoatConfig::default().with_iterations(10).with_delay_bound(1);
-        let suite = SuiteConfig::default().with_jobs(1).with_realloc(true);
-        let mut unspent = 0;
-        let stats = run_suite(&base, &suite, &mixed_kernels(), &mut |_, name, result| {
-            if name.contains("leak") {
-                unspent += 10 - result.records.len();
-            }
-        });
-        assert!(unspent > 0, "leak kernels should stop early");
-        assert_eq!(stats.budget_donated, unspent, "a donor's budget is missing from the pool");
+        for jobs in [1, 4, 4, 4] {
+            let suite = SuiteConfig::default().with_jobs(jobs).with_realloc(true);
+            let mut unspent = 0;
+            let stats = run_suite(&base, &suite, &mixed_kernels(), &mut |_, name, result| {
+                if name.contains("leak") {
+                    unspent += 10 - result.records.len();
+                }
+            });
+            assert!(unspent > 0, "leak kernels should stop early");
+            assert_eq!(stats.budget_donated, unspent, "a donor's budget is missing at jobs={jobs}");
+        }
     }
 
     #[test]
@@ -1064,17 +1199,26 @@ mod tests {
 
     #[test]
     fn warm_scratch_is_recycled_across_kernels() {
+        // Recycled scratch moves allocations, never results: every
+        // kernel's summary must equal its own `Goat::test` campaign,
+        // which has no earlier kernel to inherit scratch from.
         let base = GoatConfig::default().with_iterations(4).with_delay_bound(1);
         let kernels = mixed_kernels();
-        let (_, warm) = suite_lines(&base, &SuiteConfig::default().with_jobs(1), &kernels);
+        let mut warm = Vec::new();
+        let stats =
+            run_suite(&base, &SuiteConfig::default().with_jobs(1), &kernels, &mut |_, _, r| {
+                warm.push(summary_json(r));
+            });
         assert!(
-            warm.warm_bufs_reused >= 1,
+            stats.warm_bufs_reused >= 1,
             "sequential suite should chain scratch across kernels, got {}",
-            warm.warm_bufs_reused
+            stats.warm_bufs_reused
         );
-        let (_, cold) =
-            suite_lines(&base, &SuiteConfig::default().with_jobs(1).with_warm(false), &kernels);
-        assert_eq!(cold.warm_bufs_reused, 0, "cold suite must not touch the warm pool");
+        let alone: Vec<String> = kernels
+            .iter()
+            .map(|p| summary_json(&mut Goat::new(base.clone()).test(Arc::clone(p))))
+            .collect();
+        assert_eq!(warm, alone, "recycled scratch changed a kernel's result");
     }
 
     #[test]
@@ -1107,6 +1251,70 @@ mod tests {
         let (resumed, _) = suite_lines(&with_ckpt, &SuiteConfig::default().with_jobs(4), &kernels);
         assert_eq!(reference, resumed, "resumed suite output diverged");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn claim_never_clips_an_ipc_batch() {
+        // One worker, `-ipc-batch 8`: the first claim must ship all 8
+        // runs, not the 4 a `jobs * 4` window would allow.
+        let cfg = GoatConfig::default()
+            .with_iterations(20)
+            .with_guided(false)
+            .with_isolate(crate::isolate::IsolateMode::Proc)
+            .with_ipc_batch(8);
+        let stream = Stream {
+            next: 0,
+            merged: 0,
+            cutoff: cfg.iterations,
+            window: claim_window(1, &cfg),
+            batch: cfg.effective_batch(),
+            halted: false,
+            complete: false,
+            pending: false,
+            inflight: 0,
+            released: 0,
+        };
+        let queue = SuiteQueue::new(vec![stream], true);
+        assert_eq!(queue.claim(None, None), Claim::Batch(0, 0, 8));
+        // Guided campaigns stay capped at the feedback lag.
+        assert_eq!(claim_window(64, &cfg.with_guided(true)), GUIDED_LAG);
+    }
+
+    #[test]
+    fn executor_output_is_byte_identical_under_seam_delays() {
+        // Hold every claim before its run, or every finished campaign
+        // before its emit, at several worker counts: a lone campaign
+        // (stopping on its bug, and running its full budget) and a
+        // 6-kernel suite must match the undelayed single-worker run.
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let stop = GoatConfig::default().with_iterations(16).with_delay_bound(1);
+        let mut kernels = mixed_kernels();
+        kernels.push(racy_kernel("suite-racy-f"));
+        let run = |jobs: usize| {
+            let racy = racy_kernel("torture-racy");
+            let mut out = vec![
+                summary_json(
+                    &mut Goat::new(stop.clone().with_parallelism(jobs)).test(Arc::clone(&racy)),
+                ),
+                summary_json(
+                    &mut Goat::new(stop.clone().keep_running().with_parallelism(jobs)).test(racy),
+                ),
+            ];
+            let suite = SuiteConfig::default().with_jobs(jobs).with_realloc(false);
+            run_suite(&stop, &suite, &kernels, &mut |_, _, r| out.push(summary_json(r)));
+            out
+        };
+        let reference = {
+            // An empty plan keeps other tests' scoped faults out.
+            let _g = goat_runtime::faultpoint::scoped("");
+            run(1)
+        };
+        for seam in ["suite_claim", "suite_emit"] {
+            let _g = goat_runtime::faultpoint::scoped(&format!("{seam}:delay:2"));
+            for jobs in [1, nproc, 4 * nproc] {
+                assert_eq!(reference, run(jobs), "{seam} delay at jobs={jobs}");
+            }
+        }
     }
 
     #[test]

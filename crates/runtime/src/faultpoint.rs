@@ -28,6 +28,8 @@
 //! | `worker`        | `wedge` | `seed=N`    | isolated worker stops heartbeating on run N (outside-SIGKILL path) |
 //! | `worker`        | `garbage-frame` | `seed=N` | isolated worker answers run N with a corrupt frame (protocol-recovery path) |
 //! | `suite_finalize` | `delay` | `<ms>`     | a suite worker sleeps between marking a halted kernel complete and finalizing it (realloc-barrier race) |
+//! | `suite_claim`   | `delay` | `<ms>`      | an executor worker sleeps between claiming a batch and running it |
+//! | `suite_emit`    | `delay` | `<ms>`      | the coordinating worker sleeps between taking a finalized campaign and emitting it |
 //!
 //! (`sink:err[:after=N]` is honoured by `goat-metrics`' JSONL sink,
 //! which sits below this crate; the grammar is shared.)
@@ -439,8 +441,11 @@ mod tests {
 
     #[test]
     fn parses_delay_seams() {
-        let spec = parse_spec("suite_finalize:delay:20").expect("valid delay");
-        assert!(matches!(spec.action, Action::Delay { ms: 20 }));
+        for seam in ["suite_finalize", "suite_claim", "suite_emit"] {
+            let spec = parse_spec(&format!("{seam}:delay:20")).expect("valid delay");
+            assert_eq!(spec.site, seam);
+            assert!(matches!(spec.action, Action::Delay { ms: 20 }));
+        }
         assert!(parse_spec("suite_finalize:delay").is_none());
         assert!(parse_spec("suite_finalize:delay:soon").is_none());
     }

@@ -45,8 +45,9 @@ struct Cli {
     isolate: Option<goat::core::IsolateMode>,
     ipc: Option<goat::core::IpcMode>,
     ipc_batch: Option<usize>,
-    // Suite knobs for `-target all` (flags win over GOAT_JOBS /
-    // GOAT_SUITE_REALLOC).
+    // Executor knobs (flags win over GOAT_JOBS / GOAT_SUITE_REALLOC):
+    // `-jobs` sizes a lone campaign and `-target all` alike; `-realloc`
+    // is suite-only.
     jobs: Option<usize>,
     realloc: Option<bool>,
 }
@@ -231,6 +232,9 @@ fn campaign_config(cli: &Cli) -> GoatConfig {
     if let Some(n) = cli.ipc_batch {
         cfg = cfg.with_ipc_batch(n);
     }
+    if let Some(n) = cli.jobs {
+        cfg = cfg.with_parallelism(n);
+    }
     cfg
 }
 
@@ -279,13 +283,13 @@ fn print_help() {
          \x20                           self-describing JSON (GOAT_IPC; default bin)\n\
          \x20 -ipc-batch <int>          Run frames per pipe write; capped at the guided\n\
          \x20                           feedback lag (GOAT_IPC_BATCH; default 1)\n\n\
-         suite mode, -target all (flags override the matching GOAT_* env knobs):\n\
-         \x20 -jobs <int>               cross-kernel suite workers over one global\n\
-         \x20                           work-stealing iteration queue; per-kernel output\n\
-         \x20                           is byte-identical at any value (GOAT_JOBS;\n\
-         \x20                           default GOAT_PARALLELISM, then 1)\n\
-         \x20 -realloc                  early-stopping kernels donate unspent budget to\n\
-         \x20                           still-exploring ones, deterministically\n\
+         parallel execution (flags override the matching GOAT_* env knobs):\n\
+         \x20 -jobs <int>               workers claiming iterations from one work-stealing\n\
+         \x20                           queue, within a campaign or across the kernels of\n\
+         \x20                           -target all; output is byte-identical at any value\n\
+         \x20                           (GOAT_JOBS; default 1)\n\
+         \x20 -realloc                  -target all: early-stopping kernels donate unspent\n\
+         \x20                           budget to still-exploring ones, deterministically\n\
          \x20                           (GOAT_SUITE_REALLOC)\n\n\
          exit codes: 0 clean, 1 bug detected, 2 quarantined/infra failure, 64 usage"
     );

@@ -503,8 +503,7 @@ fn goat_cmd() -> std::process::Command {
     cmd.env_remove("GOAT_JOBS")
         .env_remove("GOAT_SUITE_REALLOC")
         .env_remove("GOAT_ISOLATE")
-        .env_remove("GOAT_CHECKPOINT")
-        .env_remove("GOAT_PARALLELISM");
+        .env_remove("GOAT_CHECKPOINT");
     cmd
 }
 

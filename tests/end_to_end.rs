@@ -251,3 +251,29 @@ fn cli_exit_codes_are_distinct_per_outcome() {
         .expect("run");
     assert_eq!(quarantined.code(), Some(2));
 }
+
+#[test]
+fn cli_jobs_flag_sizes_a_lone_campaign_without_changing_its_report() {
+    // `-jobs` runs a `-target <kernel>` campaign on that many workers
+    // (its telemetry says so); the rendered report, bug trace and
+    // coverage included, must not change.
+    let report = |jobs: &str| {
+        let telemetry =
+            std::env::temp_dir().join(format!("goat-cli-jobs-{}-{jobs}.jsonl", std::process::id()));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_goat"))
+            .args(["-target", "etcd6857", "-d", "2", "-freq", "100", "-cov", "-jobs", jobs])
+            .env_remove("GOAT_JOBS")
+            .env("GOAT_TELEMETRY", &telemetry)
+            .output()
+            .expect("run");
+        assert_eq!(out.status.code(), Some(1), "etcd6857 must be detected");
+        let events = std::fs::read_to_string(&telemetry).expect("telemetry stream");
+        let _ = std::fs::remove_file(&telemetry);
+        let campaign = events.lines().find(|l| l.contains("\"kind\":\"campaign\"")).expect("event");
+        assert!(campaign.contains(&format!("\"parallelism\":{jobs},")), "{campaign}");
+        String::from_utf8(out.stdout).expect("utf8 stdout")
+    };
+    let one = report("1");
+    assert!(one.contains("bug detected on iteration"), "{one}");
+    assert_eq!(one, report("4"), "-jobs 4 changed the lone-campaign report");
+}

@@ -8,8 +8,10 @@
 //! reproduce the committed telemetry-off snapshot byte-for-byte. This
 //! proves the dense-ID requirement remap and the fused analysis plane
 //! leak nowhere into report output, with telemetry both off and on.
+//! It also checks that a suite's per-kernel telemetry reports the
+//! worker count the suite actually ran.
 
-use goat::core::{CampaignSummary, Goat, GoatConfig, Program};
+use goat::core::{run_suite, CampaignSummary, Goat, GoatConfig, Program, SuiteConfig};
 use goat::goker::{by_name, BugKernel};
 use goat::runtime::{faultpoint, StrategyKind};
 use std::path::PathBuf;
@@ -77,5 +79,26 @@ fn telemetry_only_adds_the_telemetry_field() {
             "{name}: telemetry-on report (telemetry field stripped) drifted from the \
              telemetry-off snapshot — collection must not change deterministic output"
         );
+    }
+}
+
+#[test]
+fn suite_telemetry_reports_the_jobs_it_ran() {
+    goat::metrics::set_enabled(true);
+    let kernels: Vec<Arc<dyn Program>> = ["etcd6708", "moby28462", "grpc1424"]
+        .into_iter()
+        .map(|name| Arc::new(KernelProgram(by_name(name).expect("kernel"))) as Arc<dyn Program>)
+        .collect();
+    let base = GoatConfig::default().with_iterations(6).with_delay_bound(1).with_parallelism(1);
+    let mut reported = Vec::new();
+    let stats =
+        run_suite(&base, &SuiteConfig::default().with_jobs(2), &kernels, &mut |_, name, r| {
+            let telemetry = r.telemetry.as_ref().expect("telemetry collected when enabled");
+            reported.push((name.to_string(), telemetry.parallelism));
+        });
+    assert_eq!(stats.jobs, 2);
+    assert_eq!(reported.len(), kernels.len());
+    for (name, parallelism) in reported {
+        assert_eq!(parallelism, 2, "{name}: telemetry must report the suite's 2 workers");
     }
 }
