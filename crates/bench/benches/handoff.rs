@@ -1,10 +1,12 @@
 //! Benchmarks of the execution hot path: token-handoff latency of the
-//! condvar parker, the end-to-end campaign cost on top of the
+//! coroutine switch, the end-to-end campaign cost on top of the
 //! out-of-lock trace append, and the duplicate-schedule analysis memo.
 //!
 //! `handoff_256_steps` is a two-goroutine rendezvous ping-pong: every
 //! round is two scheduler handoffs with nothing else on the critical
-//! path, so it measures the parker's wake latency.
+//! path, so it measures the coroutine switch through the host loop
+//! (its `park_only` id predates the switch and is kept so the numbers
+//! stay comparable with `BENCH_handoff.json`).
 //! `campaign_24_iters/streaming_p4_pooled` reproduces the bench id from
 //! `BENCH_pool.json` for a before/after end-to-end comparison.
 
@@ -15,7 +17,7 @@ use std::sync::Arc;
 
 /// Two goroutines rendezvous `rounds` times over unbuffered channels:
 /// each round forces two token handoffs, so the run is dominated by
-/// parker latency.
+/// handoff latency.
 fn ping_pong(seed: u64, rounds: usize) {
     let cfg = Config::new(seed).with_native_preempt_prob(0.0).with_trace(false);
     let r = Runtime::run(cfg, move || {

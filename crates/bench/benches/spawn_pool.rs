@@ -1,9 +1,8 @@
 //! Benchmarks of the pooled execution engine: goroutine spawn
-//! throughput with and without the shared worker-thread pool, and a
-//! small campaign under the sequential vs. the streaming parallel
-//! executor. These quantify the PR's tentpole claim — removing
-//! `pthread_create` from the per-goroutine path and barrier stalls from
-//! the campaign loop.
+//! throughput with the run hosted on the shared run-host pool or on a
+//! fresh thread, and a small campaign under the sequential vs. the
+//! streaming parallel executor. Goroutines are coroutines on the run's
+//! host thread, so `pthread_create` is at most once per run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use goat_core::{FnProgram, Goat, GoatConfig};
@@ -15,7 +14,8 @@ fn quiet(seed: u64, pool: bool) -> Config {
 }
 
 /// One run spawning `n` goroutines that immediately finish: dominated
-/// by goroutine creation cost, i.e. by thread checkout vs. creation.
+/// by goroutine creation cost (coroutine stack checkout) plus one host
+/// thread checkout or creation.
 fn spawn_burst(seed: u64, pool: bool, n: usize) {
     let r = Runtime::run(quiet(seed, pool), move || {
         let wg = WaitGroup::new();

@@ -38,7 +38,7 @@
 //!   reallocated suites are also byte-identical across `jobs`. A
 //!   recipient's extended campaign equals a standalone campaign that
 //!   had `base + grant` iterations from the start.
-//! * **Warm shared resources** — the goroutine worker-thread pool and
+//! * **Warm shared resources** — the run-host thread pool and
 //!   the trace-buffer pool are process-wide and stay warm by nature;
 //!   the executor additionally recycles the per-campaign analysis
 //!   scratch ([`EctBuffers`]) from finished kernels into later ones

@@ -26,7 +26,7 @@
 //! |---|---|
 //! | `sched.*` (per-run scheduler) | `picks`, `random_picks`, `blocks`, `unblocks`, `yields_injected` |
 //! | `run.*` / `runtime.*` | `run.steps`, `runtime.runs` |
-//! | `pool.*` (worker-thread pool) | `checkout_ns` (histogram) |
+//! | `pool.*` (run-host pool) | `checkout_ns` (histogram) |
 //! | `ect.*` / `coverage.*` | `ect.events`, `coverage.requirements`, `coverage.trace_events` |
 //! | `campaign.*` | `iterations`, `reorder_depth_max`, `memo_hits` / `memo_misses` (duplicate-schedule analysis memo) |
 //! | `supervision.*` | `timeouts`, `retries`, `infra_failures`, `quarantines`, `faults_injected`, `checkpoint_writes`, `checkpoint_resumes` |

@@ -101,11 +101,12 @@ pub struct Config {
     /// [`SchedPolicy::Replay`] the strategy only drives the
     /// after-divergence fallback.
     pub strategy: StrategyKind,
-    /// Run goroutines on the shared worker-thread pool instead of
-    /// spawning a fresh OS thread per goroutine. Scheduling semantics
-    /// and traces are identical either way; the pool only removes
-    /// thread-creation cost. The pool's idle-retention size is set by
-    /// the `GOAT_POOL_MAX_IDLE` environment variable.
+    /// Host the run on a pooled thread from the shared run-host pool
+    /// (`true`) or on a fresh OS thread (`false`). Either way all of the
+    /// run's goroutines are coroutines on that one host thread, and
+    /// scheduling semantics and traces are identical; the pool only
+    /// removes thread-creation cost. The pool's idle-retention size is
+    /// set by the `GOAT_POOL_MAX_IDLE` environment variable.
     pub pool: bool,
     /// Wall-clock watchdog bound per run, in milliseconds (defaults from
     /// the `GOAT_ITER_TIMEOUT_MS` environment variable; `None` disables
@@ -116,7 +117,7 @@ pub struct Config {
     /// abandons the run with [`RunOutcome::TimedOut`] even if no
     /// goroutine ever re-enters the runtime.
     pub iter_timeout_ms: Option<u64>,
-    /// No effect; the handoff always parks. Kept only because the
+    /// No effect (there is no spinning handoff). Kept only because the
     /// benchmark crate reads it.
     pub spin: u32,
 }
@@ -170,7 +171,7 @@ impl Config {
         self.with_policy(SchedPolicy::Replay(log))
     }
 
-    /// Enable or disable the shared goroutine worker-thread pool.
+    /// Host runs on the shared run-host pool, or on a fresh thread each.
     pub fn with_pool(mut self, on: bool) -> Self {
         self.pool = on;
         self
@@ -182,7 +183,7 @@ impl Config {
         self
     }
 
-    /// No effect; the handoff always parks. Kept only because the
+    /// No effect (there is no spinning handoff). Kept only because the
     /// benchmark crate reads it.
     pub fn with_spin(mut self, spin: u32) -> Self {
         self.spin = spin;
@@ -224,11 +225,11 @@ impl Default for Config {
 pub enum TimeoutPhase {
     /// The run blew its soft deadline but a goroutine still reached the
     /// scheduler gate, so the runtime unwound it cooperatively — clean
-    /// teardown, threads reclaimed.
+    /// teardown, host thread reclaimed.
     Cooperative,
     /// No goroutine re-entered the runtime before the hard deadline; the
-    /// run was abandoned with its host threads wedged (they are written
-    /// off through the pool's abandoned-worker path).
+    /// run was decided with its host thread wedged (written off through
+    /// the pool's abandoned-host path if it misses the teardown deadline).
     Wedged,
 }
 

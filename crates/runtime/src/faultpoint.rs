@@ -20,7 +20,7 @@
 //!
 //! | site            | action  | param       | effect                                        |
 //! |-----------------|---------|-------------|-----------------------------------------------|
-//! | `pool_checkout` | `err`   | probability | worker checkout fails → `InfraFailure` outcome |
+//! | `pool_checkout` | `err`   | probability | a goroutine's stack checkout fails → `InfraFailure` outcome |
 //! | `iter`          | `wedge` | `seed=N`    | run N's main stalls **outside** runtime primitives (hard watchdog path) |
 //! | `iter`          | `spin`  | `seed=N`    | run N's main yields forever **inside** the scheduler (cooperative watchdog path) |
 //! | `iter`          | `panic` | `seed=N`    | run N's main panics (kernel-crash path)       |
@@ -354,8 +354,11 @@ pub fn current_spec() -> Option<String> {
     with_plan(|plan| plan.raw.clone())
 }
 
-/// Serializes scoped fault installations so concurrently running tests
-/// cannot see each other's plans.
+/// Serializes scoped fault installations: two [`scoped`] plans are never
+/// installed at once. An installed plan is still process-wide, so code
+/// running concurrently *without* a guard (and any isolated worker it
+/// spawns, which inherits the plan through its environment) sees it; a
+/// test that must run plan-free holds `scoped("")` for its whole run.
 static SCOPE: Mutex<()> = Mutex::new(());
 
 /// Clears the scoped fault plan on drop.

@@ -3,9 +3,11 @@
 //! The substrate of the GoAT reproduction: everything the paper assumes
 //! from the Go language and its patched runtime, rebuilt as a library.
 //!
-//! * **Goroutines** — [`go`]/[`go_named`] spawn concurrent functions;
-//!   a single-token cooperative scheduler with a FIFO global run queue
-//!   (plus Go-style preemption noise ε) decides who runs.
+//! * **Goroutines** — [`go`]/[`go_named`] spawn concurrent functions as
+//!   stackful coroutines, all on one host thread per run; a single-token
+//!   cooperative scheduler with a FIFO global run queue (plus Go-style
+//!   preemption noise ε) decides who runs. The context switch is written
+//!   for x86_64 Linux only.
 //! * **Channels** — [`Chan`] gives rendezvous and buffered channels with
 //!   Go's close semantics; [`Select`] implements `select` with
 //!   pseudo-random ready-case choice and `default`.
@@ -41,17 +43,17 @@
 //! interleaving, the same select choices and the same injected yields.
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks, unsafe_op_in_unsafe_fn)]
 
 mod chan;
 mod config;
 /// Go-style cancellation contexts.
 pub mod context;
+mod coro;
 /// Deterministic fault injection (`GOAT_FAULT`) for supervision tests.
 pub mod faultpoint;
 mod monitor;
-/// Condvar token-handoff parker.
-pub mod park;
-/// Shared goroutine worker-thread pool (statistics surface).
+/// Shared run-host thread pool (statistics surface).
 pub mod pool;
 mod rt;
 mod select;

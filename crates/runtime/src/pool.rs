@@ -1,32 +1,27 @@
-//! Shared worker-thread pool for goroutine execution.
+//! Shared host-thread pool for runs.
 //!
 //! Under the paper's campaign model a kernel is executed thousands of
-//! times, and every iteration spawns every goroutine afresh. With one
-//! OS thread per goroutine the dominant cost of small kernels becomes
-//! `pthread_create`/`join`. This pool removes it: a worker thread is
-//! checked out per goroutine, runs that goroutine's **entire
-//! lifetime** (parking and unparking with the scheduler's token
-//! machinery as usual), and returns to the idle stack when the
-//! goroutine finishes or is unwound at teardown.
+//! times. Every run executes all of its goroutines as coroutines on one
+//! host thread ([`crate::Runtime::run`]); this pool keeps those host
+//! threads warm, so a run costs a checkout instead of a
+//! `pthread_create`/`join`. A host thread is checked out per run, runs
+//! it to its teardown, and returns to the idle stack.
 //!
 //! Properties:
 //!
 //! * **Global and shared** — one process-wide pool serves all runtime
 //!   instances, so campaign iterations and parallel campaign workers
-//!   reuse each other's threads.
-//! * **No semantic impact** — the scheduler's single-token discipline
-//!   is unchanged; which thread hosts a goroutine is invisible to
+//!   reuse each other's host threads.
+//! * **No semantic impact** — which thread hosts a run is invisible to
 //!   scheduling, tracing and replay. [`crate::Config::pool`] turns the
-//!   pool off to get the historical thread-per-goroutine behaviour.
+//!   pool off to give each run a fresh host thread instead.
 //! * **Bounded retention** — at most `GOAT_POOL_MAX_IDLE` workers
 //!   (default 256) stay parked waiting for work; excess workers exit.
-//! * **Wedge-proof** — a worker is returned only by its goroutine
-//!   running to completion (normal exit or shutdown unwind). A worker
-//!   wedged by a goroutine stuck outside runtime primitives is simply
-//!   never returned; checkout falls back to spawning a fresh worker,
-//!   so one bad run cannot drain the pool (see
-//!   [`Runtime::run_monitored`](crate::Runtime)'s teardown timeout for
-//!   the run-side fallback).
+//! * **Wedge-proof** — a worker is returned only by its run finishing
+//!   teardown. A host wedged by a goroutine stuck outside runtime
+//!   primitives is abandoned at the run's teardown deadline (see
+//!   [`Runtime::run_monitored`](crate::Runtime)) and replaced by a
+//!   freshly parked worker, so one bad run cannot drain the pool.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +35,7 @@ struct IdleWorker {
     job_tx: Sender<Job>,
 }
 
-/// The process-wide goroutine worker pool.
+/// The process-wide run-host pool.
 pub(crate) struct WorkerPool {
     idle: Mutex<Vec<IdleWorker>>,
     max_idle: usize,
@@ -64,19 +59,15 @@ pub(crate) fn global() -> &'static WorkerPool {
     })
 }
 
-/// Account `n` goroutine jobs abandoned at a runtime teardown deadline:
-/// their host worker threads will never return to the idle stack. Each
-/// abandoned worker is replaced by a freshly parked one (up to the idle
-/// cap), so effective parallelism does not decay over a long campaign
-/// of wedged runs.
-pub(crate) fn note_abandoned(n: u64) {
+/// Account one run host abandoned at a runtime teardown deadline: its
+/// worker thread will not return to the idle stack in time. It is
+/// replaced by a freshly parked worker (up to the idle cap), so
+/// effective parallelism does not decay over a long campaign of wedged
+/// runs.
+pub(crate) fn note_abandoned() {
     let pool = global();
-    pool.abandoned.fetch_add(n, Ordering::Relaxed);
-    for _ in 0..n {
-        if !pool.spawn_parked_replacement() {
-            break;
-        }
-    }
+    pool.abandoned.fetch_add(1, Ordering::Relaxed);
+    pool.spawn_parked_replacement();
 }
 
 impl WorkerPool {
@@ -95,14 +86,10 @@ impl WorkerPool {
     /// Run `job` on a pooled worker: check out an idle worker if one is
     /// parked, otherwise spawn a new one. Never blocks on pool state.
     ///
-    /// Checkout can fail — the OS refuses a thread, or the
-    /// `pool_checkout` faultpoint fires — in which case the job is
+    /// Checkout fails only when the OS refuses a thread; the job is then
     /// dropped (releasing whatever it captured) and the reason is
     /// returned for the caller to surface as an infra failure.
     pub(crate) fn execute(&'static self, job: Job) -> Result<(), String> {
-        if let Some(reason) = crate::faultpoint::should_fail("pool_checkout") {
-            return Err(reason);
-        }
         // Checkout latency is only measured when telemetry is on; the
         // disabled cost is one relaxed atomic load.
         let t0 = goat_metrics::enabled().then(std::time::Instant::now);
@@ -144,25 +131,21 @@ impl WorkerPool {
     }
 
     /// Spawn a worker that goes straight to the idle stack, replacing
-    /// one lost to abandonment. Returns false when the stack is already
-    /// at capacity or the spawn failed (both mean: stop replacing).
-    fn spawn_parked_replacement(&'static self) -> bool {
-        if self.idle.lock().expect("pool lock").len() >= self.max_idle {
-            return false;
-        }
-        let spawned = self.spawn_worker(Box::new(|| {})).is_ok();
-        if spawned {
+    /// one lost to abandonment, unless the stack is already at capacity.
+    fn spawn_parked_replacement(&'static self) {
+        if self.idle.lock().expect("pool lock").len() < self.max_idle
+            && self.spawn_worker(Box::new(|| {})).is_ok()
+        {
             self.workers_replaced.fetch_add(1, Ordering::Relaxed);
         }
-        spawned
     }
 
     fn worker_loop(&'static self, first_job: Job, job_tx: Sender<Job>, job_rx: Receiver<Job>) {
         let mut job = first_job;
         loop {
-            // `goroutine_main` handles all panics internally (including
-            // shutdown unwinds); anything escaping here means the worker
-            // is in an unknown state, so it must not be reused.
+            // Goroutines catch their own panics on their coroutines;
+            // anything escaping a run's host loop means the worker is in
+            // an unknown state, so it must not be reused.
             if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
                 return;
             }
@@ -197,14 +180,14 @@ fn checkout_histogram() -> &'static goat_metrics::Histogram {
 pub struct PoolStats {
     /// OS threads created by the pool since process start.
     pub threads_spawned: u64,
-    /// Goroutine executions served by an already-running worker.
+    /// Runs served by an already-running worker.
     pub jobs_reused: u64,
     /// Workers currently parked awaiting checkout.
     pub idle_now: usize,
     /// Workers that exited because the idle stack was full.
     pub workers_retired: u64,
-    /// Goroutine jobs abandoned at a runtime teardown deadline (their
-    /// worker threads were never returned to the pool).
+    /// Run hosts abandoned at a runtime teardown deadline (their worker
+    /// threads did not return to the pool in time).
     pub abandoned: u64,
     /// Replacement workers spawned to cover abandoned ones.
     pub workers_replaced: u64,
@@ -212,7 +195,7 @@ pub struct PoolStats {
 
 /// Pre-spawn parked workers until at least `target` (capped at the idle
 /// limit) are waiting on the idle stack, so a cold process's first
-/// burst of goroutine checkouts does not all pay thread-creation cost.
+/// burst of runs does not all pay thread-creation cost.
 /// Best effort — a failed spawn stops early. Returns how many workers
 /// were spawned. Used by the suite orchestrator's warm-resource path.
 pub fn prewarm(target: usize) -> usize {
@@ -252,8 +235,7 @@ mod tests {
     use std::time::Duration;
 
     /// Serializes the pool tests with each other and with every scoped
-    /// fault plan in this binary, and guarantees no `pool_checkout`
-    /// fault fires while a pool test holds it.
+    /// fault plan in this binary.
     fn no_faults() -> crate::faultpoint::FaultGuard {
         crate::faultpoint::scoped("")
     }

@@ -1,7 +1,10 @@
 //! The single-token cooperative scheduler.
 //!
-//! Goroutines are OS threads, but **exactly one** holds the *run token*
-//! at any moment; everything else is parked. Every primitive operation
+//! Goroutines are stackful coroutines that all run on one host thread
+//! per run, and **exactly one** holds the *run token* at any moment;
+//! everything else is suspended. The scheduler decides who runs next and
+//! records the grant; the goroutine then switches to the host loop,
+//! which resumes the granted coroutine. Every primitive operation
 //! funnels through this module to block, wake, yield and emit ECT events,
 //! which gives the runtime three properties the paper's methodology
 //! needs:
@@ -19,28 +22,34 @@
 //! ([`Config::native_preempt_prob`]) a random runnable goroutine is
 //! chosen instead — the preemption/multi-processor noise that makes rare
 //! interleavings rare.
+//!
+//! [`Runtime::run`] hands the whole run to one host thread (pooled or
+//! fresh, per [`Config::pool`]) and waits for it on a condvar, enforcing
+//! the wall-clock watchdog and the teardown deadline from the calling
+//! thread: a goroutine stuck outside every runtime primitive wedges only
+//! its host, which the caller then abandons.
 
 use crate::config::{
     AliveGoroutine, Config, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters, SchedPolicy,
     TimeoutPhase,
 };
+use crate::coro::{self, Coroutine};
 use crate::faultpoint::{self, SeedFault};
 use crate::monitor::Monitor;
-use crate::park::Parker;
 use crate::strategy::{Strategy, StrategyKind, YieldChoice, YieldCtx};
 use goat_model::{Cu, CuKind, Istr};
 use goat_trace::{BlockReason, Ect, EventKind, Gid, RId, TraceBuf, VTime};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Panic payload used to unwind goroutine threads at shutdown.
+/// Panic payload used to unwind goroutines at shutdown.
 pub(crate) struct ShutdownSignal;
 
 /// Panic payload for Go-level runtime panics ("send on closed channel").
@@ -135,7 +144,6 @@ struct GSlot {
     name: Istr,
     internal: bool,
     state: GState,
-    parker: Arc<Parker>,
 }
 
 /// Commit point shared by the registrations of one blocked select.
@@ -220,7 +228,14 @@ pub(crate) struct Sched {
     /// scheduler publishes its virtual clock into it on every tick.
     tb: Arc<TraceBuf>,
     outcome: Option<RunOutcome>,
+    /// When the outcome was decided; the teardown deadline counts from it.
+    outcome_at: Option<Instant>,
+    /// The goroutine the scheduler granted the token to, for the host
+    /// loop to resume.
+    granted: Option<Gid>,
     shutdown: bool,
+    /// The host thread has torn the run down (or never started).
+    host_done: bool,
     yields_injected: u32,
     monitor: Option<Arc<dyn Monitor>>,
     /// Alive-goroutine snapshot taken at the moment the outcome was
@@ -278,7 +293,10 @@ impl Sched {
             next_rid: 0,
             tb,
             outcome: None,
+            outcome_at: None,
+            granted: None,
             shutdown: false,
+            host_done: false,
             yields_injected: 0,
             monitor,
             alive_snapshot: None,
@@ -398,13 +416,7 @@ impl Sched {
     /// Create a goroutine slot in `Runnable` state and enqueue it.
     fn new_goroutine(&mut self, name: Istr, internal: bool) -> Gid {
         let gid = Gid(self.slots.len() as u64 + 1);
-        self.slots.push(GSlot {
-            gid,
-            name,
-            internal,
-            state: GState::Runnable,
-            parker: Parker::new(),
-        });
+        self.slots.push(GSlot { gid, name, internal, state: GState::Runnable });
         self.runq.push_back(gid);
         // Strategy hook: PCT draws the goroutine's initial priority
         // here; native/random consume no RNG draws.
@@ -492,7 +504,7 @@ impl Sched {
         if self.timeout_requested && self.outcome.is_none() {
             // Cooperative watchdog abort: the driver's soft deadline
             // passed and this goroutine reached the scheduler gate, so
-            // the run can be unwound cleanly (threads reclaimed).
+            // the run can be unwound cleanly (its host reclaimed).
             let elapsed_ms = self.started.elapsed().as_millis() as u64;
             if let Some(m) = &self.monitor {
                 m.on_timeout(TimeoutPhase::Cooperative, elapsed_ms);
@@ -572,9 +584,8 @@ impl Sched {
             }
             self.fire_due_timers();
             if let Some(g) = self.pick_next() {
-                let slot = self.slot_mut(g);
-                slot.state = GState::Running;
-                slot.parker.grant();
+                self.slot_mut(g).state = GState::Running;
+                self.granted = Some(g);
                 return;
             }
             if self.main_exited {
@@ -612,7 +623,18 @@ impl Sched {
     pub(crate) fn set_outcome(&mut self, outcome: RunOutcome) {
         if self.outcome.is_none() {
             self.outcome = Some(outcome);
+            self.outcome_at = Some(Instant::now());
             self.alive_snapshot = Some(self.alive_app());
+        }
+    }
+
+    /// Stop scheduling and close the process in the trace. Whoever
+    /// stops the run first (the host after the outcome, or the caller at
+    /// the hard watchdog deadline) emits the one `ProcStop`.
+    fn stop(&mut self) {
+        if !self.shutdown {
+            self.shutdown = true;
+            self.emit(Gid::RUNTIME, EventKind::ProcStop, None);
         }
     }
 
@@ -640,9 +662,54 @@ impl Sched {
 // Shared runtime handle + thread-local context
 // ---------------------------------------------------------------------
 
+thread_local! {
+    /// How many [`SchedGuard`]s this thread holds (debug builds): a
+    /// coroutine switch asserts it holds none.
+    static SCHED_GUARDS: Cell<u32> = const { Cell::new(0) };
+}
+
+/// The run lock around [`Sched`]. Its guards are counted per thread in
+/// debug builds, so every coroutine switch can assert that it does not
+/// carry the lock to the host (which would deadlock the run).
+pub(crate) struct SchedLock(Mutex<Sched>);
+
+/// A held [`SchedLock`].
+pub(crate) struct SchedGuard<'a>(MutexGuard<'a, Sched>);
+
+impl SchedLock {
+    pub(crate) fn lock(&self) -> SchedGuard<'_> {
+        let guard = SchedGuard(self.0.lock());
+        if cfg!(debug_assertions) {
+            SCHED_GUARDS.with(|n| n.set(n.get() + 1));
+        }
+        guard
+    }
+}
+
+impl Drop for SchedGuard<'_> {
+    fn drop(&mut self) {
+        if cfg!(debug_assertions) {
+            SCHED_GUARDS.with(|n| n.set(n.get() - 1));
+        }
+    }
+}
+
+impl std::ops::Deref for SchedGuard<'_> {
+    type Target = Sched;
+    fn deref(&self) -> &Sched {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for SchedGuard<'_> {
+    fn deref_mut(&mut self) -> &mut Sched {
+        &mut self.0
+    }
+}
+
 /// Shared state of one runtime instance.
 pub(crate) struct RtShared {
-    pub(crate) state: Mutex<Sched>,
+    pub(crate) state: SchedLock,
     /// The run's trace sink. Internally synchronized and append-only;
     /// the token holder pushes its own events here **without** taking
     /// [`RtShared::state`]. Total order is preserved because exactly one
@@ -652,25 +719,8 @@ pub(crate) struct RtShared {
     /// The attached monitor, reachable without the scheduler lock so
     /// gate functions can consult it on lock-free paths.
     pub(crate) monitor: Option<Arc<dyn Monitor>>,
+    /// Signalled once, by the host thread, after it tore the run down.
     done_cv: Condvar,
-    /// Goroutine jobs of this runtime still running on some OS thread
-    /// (pooled or not). Replaces the historical `Vec<JoinHandle>`,
-    /// which grew by one entry per spawned goroutine and forced a
-    /// join-per-goroutine teardown.
-    threads: Mutex<u64>,
-    threads_cv: Condvar,
-    /// Whether goroutines of this runtime run on the shared worker
-    /// pool (snapshot of [`Config::pool`] at construction).
-    pooled: bool,
-}
-
-impl RtShared {
-    /// Record the outcome (first writer wins), snapshot which goroutines
-    /// were still alive, and wake the driver.
-    pub(crate) fn finish(&self, s: &mut Sched, outcome: RunOutcome) {
-        s.set_outcome(outcome);
-        self.done_cv.notify_all();
-    }
 }
 
 /// The per-thread goroutine context.
@@ -681,7 +731,14 @@ pub(crate) struct Ctx {
 }
 
 thread_local! {
+    /// The goroutine the host thread is running: set by the host loop
+    /// before every resume.
     static CURRENT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
+    /// This host thread's coroutines, indexed by gid − 1. A coroutine's
+    /// entry is vacated while it runs.
+    static COROS: RefCell<Vec<Option<Coroutine>>> = const { RefCell::new(Vec::new()) };
+    /// The host is tearing the run down: a goroutine resumed now unwinds.
+    static TEARDOWN: Cell<bool> = const { Cell::new(false) };
 }
 
 /// The current goroutine context.
@@ -722,22 +779,15 @@ pub(crate) fn block_current(
         None => (None, None),
     };
     ctx.rt.tb.push(ctx.gid, EventKind::GoBlock { reason, holder_cu, holder: holder_g }, cu);
-    let parker = {
+    {
         let mut s = ctx.rt.state.lock();
         s.slot_mut(ctx.gid).state = GState::Blocked(reason);
         s.counters.blocks += 1;
-        if !s.tick() {
-            ctx.rt.finish(&mut s, RunOutcome::StepLimit);
-        }
+        // A failed tick decided the outcome: nothing is granted, the host tears down.
+        s.tick();
         s.schedule_next();
-        if s.outcome.is_some() {
-            ctx.rt.done_cv.notify_all();
-        }
-        s.slot(ctx.gid).parker.clone()
-    };
-    if parker.park().is_err() {
-        shutdown_unwind();
     }
+    switch_to_host();
 }
 
 /// Yield the processor: requeue at the back of the run queue.
@@ -748,7 +798,7 @@ pub(crate) fn yield_current(ctx: &Ctx, preempt: bool, cu: Option<Cu>) {
         if preempt { EventKind::GoPreempt } else { EventKind::GoSched { trace_stop: false } };
     // Out-of-lock append: see `block_current`.
     ctx.rt.tb.push(ctx.gid, kind, cu);
-    let parker = {
+    {
         let mut s = ctx.rt.state.lock();
         s.slot_mut(ctx.gid).state = GState::Runnable;
         s.runq.push_back(ctx.gid);
@@ -757,18 +807,10 @@ pub(crate) fn yield_current(ctx: &Ctx, preempt: bool, cu: Option<Cu>) {
         } else {
             s.counters.yields_gosched += 1;
         }
-        if !s.tick() {
-            ctx.rt.finish(&mut s, RunOutcome::StepLimit);
-        }
+        s.tick();
         s.schedule_next();
-        if s.outcome.is_some() {
-            ctx.rt.done_cv.notify_all();
-        }
-        s.slot(ctx.gid).parker.clone()
-    };
-    if parker.park().is_err() {
-        shutdown_unwind();
     }
+    switch_to_host();
 }
 
 /// Common entry of every traced primitive: accounts a step, enforces the
@@ -778,7 +820,6 @@ pub(crate) fn op_enter(ctx: &Ctx, _kind: CuKind, cu: &Cu) {
     let do_yield = {
         let mut s = ctx.rt.state.lock();
         if !s.tick() {
-            ctx.rt.finish(&mut s, RunOutcome::StepLimit);
             drop(s);
             shutdown_unwind();
         }
@@ -798,52 +839,27 @@ pub(crate) fn cu_here(kind: CuKind, loc: &std::panic::Location<'_>) -> Cu {
 // Spawning
 // ---------------------------------------------------------------------
 
-/// Decrements the owning runtime's live-thread count when the
-/// goroutine's job finishes, however it finishes (normal completion,
-/// shutdown unwind, or a panic escaping `goroutine_main`).
-struct ThreadCountGuard {
-    rt: Arc<RtShared>,
-}
+type Body = Box<dyn FnOnce() + Send + 'static>;
 
-impl Drop for ThreadCountGuard {
-    fn drop(&mut self) {
-        let mut n = self.rt.threads.lock();
-        *n -= 1;
-        self.rt.threads_cv.notify_all();
-    }
-}
-
-fn spawn_goroutine(rt: &Arc<RtShared>, gid: Gid, body: Box<dyn FnOnce() + Send + 'static>) {
+/// Create goroutine `gid`'s coroutine on this host thread. Checking out
+/// its stack can fail (the OS refuses the mapping, or the
+/// `pool_checkout` faultpoint fires); the body is then dropped and the
+/// harness failure surfaces as an infra-failure outcome, so the campaign
+/// layer can retry the run.
+fn spawn_goroutine(rt: &Arc<RtShared>, gid: Gid, body: Body) {
     let rt2 = Arc::clone(rt);
-    *rt.threads.lock() += 1;
-    let guard = ThreadCountGuard { rt: Arc::clone(rt) };
-    let job: Job = Box::new(move || {
-        let _guard = guard;
-        goroutine_main(rt2, gid, body);
-    });
-    let hosted = if rt.pooled {
-        crate::pool::global().execute(job)
-    } else {
-        match faultpoint::should_fail("pool_checkout") {
-            Some(reason) => Err(reason),
-            None => std::thread::Builder::new()
-                .name("goat-g".to_string())
-                .spawn(job)
-                .map(|_| ())
-                .map_err(|e| format!("failed to spawn goroutine thread: {e}")),
-        }
-    };
-    if let Err(reason) = hosted {
-        // The job was dropped without running (its ThreadCountGuard has
-        // already rolled the live-thread count back). The harness — not
-        // the program under test — failed; surface that as an
-        // infra-failure outcome so the campaign layer can retry the run.
-        let mut s = rt.state.lock();
-        rt.finish(&mut s, RunOutcome::InfraFailure { reason });
+    match Coroutine::new(Box::new(move || goroutine_main(rt2, gid, body))) {
+        Ok(co) => COROS.with(|c| {
+            let mut coros = c.borrow_mut();
+            let i = (gid.0 - 1) as usize;
+            if coros.len() <= i {
+                coros.resize_with(i + 1, || None);
+            }
+            coros[i] = Some(co);
+        }),
+        Err(reason) => rt.state.lock().set_outcome(RunOutcome::InfraFailure { reason }),
     }
 }
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Decode a caught panic payload into (message, forensics detail).
 ///
@@ -867,60 +883,46 @@ fn panic_forensics(payload: Box<dyn std::any::Any + Send>) -> (String, Option<St
     }
 }
 
-fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Box<dyn FnOnce() + Send + 'static>) {
-    CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { rt: Arc::clone(&rt), gid }));
-    let parker = { rt.state.lock().slot(gid).parker.clone() };
-    if parker.park().is_ok() {
-        // Token acquired; the granter emitted its last event before the
-        // grant, so this lock-free append lands in total order.
-        rt.tb.push(gid, EventKind::GoStart, None);
-        let result = panic::catch_unwind(AssertUnwindSafe(body));
-        match result {
-            Ok(()) => {
-                if gid == Gid::MAIN {
-                    // Successful main exit: the trace-stopping yield of
-                    // §III-E.1, then a grace drain of runnable goroutines
-                    // (schedule_next declares completion and runs the
-                    // goleak observation point once the queue is empty).
-                    rt.tb.push(gid, EventKind::GoSched { trace_stop: true }, None);
-                    let mut s = rt.state.lock();
-                    s.slot_mut(gid).state = GState::Done;
-                    s.main_exited = true;
-                    s.schedule_next();
-                    if let Some(outcome) = s.outcome.clone() {
-                        rt.finish(&mut s, outcome);
-                    }
-                } else {
-                    rt.tb.push(gid, EventKind::GoEnd, None);
-                    let mut s = rt.state.lock();
-                    s.slot_mut(gid).state = GState::Done;
-                    if !s.tick() {
-                        rt.finish(&mut s, RunOutcome::StepLimit);
-                    }
-                    s.schedule_next();
-                    if let Some(outcome) = s.outcome.clone() {
-                        rt.finish(&mut s, outcome);
-                    }
-                }
+/// A goroutine's whole life, run on its coroutine. The first resume is
+/// the first grant of the token.
+fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Body) {
+    // The granter emitted its last event before the grant, so this
+    // lock-free append lands in total order.
+    rt.tb.push(gid, EventKind::GoStart, None);
+    match panic::catch_unwind(AssertUnwindSafe(body)) {
+        Ok(()) if gid == Gid::MAIN => {
+            // Successful main exit: the trace-stopping yield of §III-E.1,
+            // then a grace drain of runnable goroutines (schedule_next
+            // declares completion and runs the goleak observation point
+            // once the queue is empty).
+            rt.tb.push(gid, EventKind::GoSched { trace_stop: true }, None);
+            let mut s = rt.state.lock();
+            s.slot_mut(gid).state = GState::Done;
+            s.main_exited = true;
+            s.schedule_next();
+        }
+        Ok(()) => {
+            rt.tb.push(gid, EventKind::GoEnd, None);
+            let mut s = rt.state.lock();
+            s.slot_mut(gid).state = GState::Done;
+            s.tick();
+            s.schedule_next();
+        }
+        Err(payload) if payload.is::<ShutdownSignal>() => {
+            rt.state.lock().slot_mut(gid).state = GState::Done;
+        }
+        Err(payload) => {
+            let (msg, detail) = panic_forensics(payload);
+            rt.tb.push(gid, EventKind::GoStop, None);
+            let mut s = rt.state.lock();
+            s.slot_mut(gid).state = GState::Done;
+            if s.outcome.is_none() {
+                s.panic_detail = detail;
             }
-            Err(payload) => {
-                if payload.is::<ShutdownSignal>() {
-                    let mut s = rt.state.lock();
-                    s.slot_mut(gid).state = GState::Done;
-                } else {
-                    let (msg, detail) = panic_forensics(payload);
-                    rt.tb.push(gid, EventKind::GoStop, None);
-                    let mut s = rt.state.lock();
-                    s.slot_mut(gid).state = GState::Done;
-                    if s.outcome.is_none() {
-                        s.panic_detail = detail;
-                    }
-                    rt.finish(&mut s, RunOutcome::Panicked { g: gid, msg });
-                }
-            }
+            s.set_outcome(RunOutcome::Panicked { g: gid, msg });
         }
     }
-    CURRENT.with(|c| *c.borrow_mut() = None);
+    debug_assert_eq!(SCHED_GUARDS.with(Cell::get), 0, "a goroutine ended holding the Sched lock");
 }
 
 /// Spawn a goroutine executing `f` (Go's `go` statement).
@@ -1016,16 +1018,13 @@ impl Runtime {
         let iter_timeout_ms = cfg.iter_timeout_ms;
         let tb = Arc::new(TraceBuf::new(cfg.trace, cfg.max_trace_events));
         let rt = Arc::new(RtShared {
-            state: Mutex::new(Sched::new(cfg, monitor.clone(), Arc::clone(&tb))),
+            state: SchedLock(Mutex::new(Sched::new(cfg, monitor.clone(), Arc::clone(&tb)))),
             tb,
             monitor,
             done_cv: Condvar::new(),
-            threads: Mutex::new(0),
-            threads_cv: Condvar::new(),
-            pooled,
         });
 
-        // Bootstrap: create the main goroutine and grant it the token.
+        // Bootstrap: create the main goroutine (the host grants it the token).
         {
             let mut s = rt.state.lock();
             s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
@@ -1034,8 +1033,9 @@ impl Runtime {
             debug_assert_eq!(gid, Gid::MAIN);
         }
         // Seed-keyed `iter` faults replace the program body wholesale,
-        // exercising each watchdog escalation path deterministically.
-        let body: Box<dyn FnOnce() + Send + 'static> = match faultpoint::seed_fault("iter", seed) {
+        // exercising each watchdog escalation path deterministically (the
+        // crash snapshots in tests/snapshots/ record the panic arm's line).
+        let body: Body = match faultpoint::seed_fault("iter", seed) {
             // Stall outside every runtime primitive: no scheduler gate is
             // ever reached, so only the hard watchdog deadline (and the
             // teardown abandonment path) can reclaim this run.
@@ -1049,90 +1049,34 @@ impl Runtime {
             Some(SeedFault::Panic) => Box::new(|| gopanic("injected fault: iter:panic")),
             None => Box::new(f),
         };
-        spawn_goroutine(&rt, Gid::MAIN, body);
-        {
+        let host_rt = Arc::clone(&rt);
+        let job: Box<dyn FnOnce() + Send> = Box::new(move || host_main(host_rt, body));
+        let hosted = if pooled {
+            crate::pool::global().execute(job)
+        } else {
+            // Detached: the caller waits on `done_cv`, not on a join, so a
+            // wedged host can be abandoned at the teardown deadline.
+            std::thread::Builder::new()
+                .name("goat-host".to_string())
+                .spawn(job)
+                .map(drop)
+                .map_err(|e| format!("failed to spawn run host thread: {e}"))
+        };
+        if let Err(reason) = hosted {
+            // No host ever ran: the harness, not the program, failed.
             let mut s = rt.state.lock();
-            s.schedule_next();
-            if s.outcome.is_some() {
-                rt.done_cv.notify_all();
-            }
+            s.set_outcome(RunOutcome::InfraFailure { reason });
+            s.stop();
+            s.host_done = true;
         }
-
-        // Wait for an outcome, then tear everything down. With a
-        // wall-clock watchdog configured the wait escalates twice: at
-        // the soft deadline it requests a cooperative abort through the
-        // scheduler gate, and at the hard deadline (soft + grace) it
-        // abandons the run outright — the only way out when every
-        // goroutine is stuck outside runtime primitives.
-        {
-            let mut s = rt.state.lock();
-            match iter_timeout_ms {
-                None => {
-                    while s.outcome.is_none() {
-                        rt.done_cv.wait(&mut s);
-                    }
-                }
-                Some(timeout_ms) => {
-                    let started = s.started;
-                    let soft = started + Duration::from_millis(timeout_ms);
-                    let hard = soft + Duration::from_millis((timeout_ms / 4).clamp(10, 1_000));
-                    while s.outcome.is_none() {
-                        let now = Instant::now();
-                        if now >= hard {
-                            let elapsed_ms = started.elapsed().as_millis() as u64;
-                            if let Some(m) = s.monitor() {
-                                m.on_timeout(TimeoutPhase::Wedged, elapsed_ms);
-                            }
-                            s.set_outcome(RunOutcome::TimedOut {
-                                phase: TimeoutPhase::Wedged,
-                                elapsed_ms,
-                            });
-                            break;
-                        }
-                        if now >= soft {
-                            s.timeout_requested = true;
-                            rt.done_cv.wait_for(&mut s, hard - now);
-                        } else {
-                            rt.done_cv.wait_for(&mut s, soft - now);
-                        }
-                    }
-                }
-            }
-            s.shutdown = true;
-            for slot in &s.slots {
-                slot.parker.shutdown();
-            }
-            s.emit(Gid::RUNTIME, EventKind::ProcStop, None);
-        }
-        // Wait for every goroutine job to finish (the shutdown unwind
-        // above releases them all). A goroutine wedged outside runtime
-        // primitives would historically hang the join loop forever; now
-        // a teardown deadline abandons it — its worker thread is simply
-        // never reused, and the pool replaces it on the next checkout.
-        {
-            let timeout_ms = std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(5_000);
-            let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-            let mut n = rt.threads.lock();
-            while *n > 0 {
-                let now = Instant::now();
-                if now >= deadline {
-                    // Deadline expired with goroutine jobs still running:
-                    // they are abandoned (their host threads are never
-                    // returned to the pool).
-                    if pooled {
-                        crate::pool::note_abandoned(*n);
-                    }
-                    break;
-                }
-                rt.threads_cv.wait_for(&mut n, deadline - now);
-            }
+        if await_host(&rt, iter_timeout_ms) && pooled {
+            // The host is wedged in a goroutine stuck outside runtime
+            // primitives: write it off and replace it.
+            crate::pool::note_abandoned();
         }
 
         // Collect results. Closing the trace buffer drops any straggler
-        // append from an abandoned goroutine; the collected event vector
+        // append from an abandoned host; the collected event vector
         // moves into the ECT wholesale (no per-event re-push) and the
         // campaign merge loop recycles it.
         let (trace, fingerprint) = rt.tb.take();
@@ -1170,6 +1114,146 @@ impl Runtime {
         }
         result
     }
+}
+
+/// Wait for the host to tear the run down. With a wall-clock watchdog
+/// configured the wait escalates twice: at the soft deadline it requests
+/// a cooperative abort through the scheduler gate, and at the hard
+/// deadline (soft + grace) it decides the outcome itself — the only way
+/// out when the running goroutine is stuck outside runtime primitives.
+/// Once the outcome is decided, the host gets the teardown deadline
+/// (`GOAT_TEARDOWN_TIMEOUT_MS`, default 5 s) to finish. Returns true when
+/// that deadline passed and the host was abandoned.
+fn await_host(rt: &RtShared, iter_timeout_ms: Option<u64>) -> bool {
+    let teardown = Duration::from_millis(
+        std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(5_000),
+    );
+    let mut s = rt.state.lock();
+    let started = s.started;
+    let watchdog = iter_timeout_ms.map(|ms| {
+        let soft = started + Duration::from_millis(ms);
+        (soft, soft + Duration::from_millis((ms / 4).clamp(10, 1_000)))
+    });
+    while !s.host_done {
+        let now = Instant::now();
+        let wake = if let Some(at) = s.outcome_at {
+            if now >= at + teardown {
+                return true;
+            }
+            at + teardown
+        } else if let Some((soft, hard)) = watchdog {
+            if now >= hard {
+                let elapsed_ms = started.elapsed().as_millis() as u64;
+                if let Some(m) = s.monitor() {
+                    m.on_timeout(TimeoutPhase::Wedged, elapsed_ms);
+                }
+                s.set_outcome(RunOutcome::TimedOut { phase: TimeoutPhase::Wedged, elapsed_ms });
+                s.stop();
+                continue;
+            }
+            if now >= soft {
+                s.timeout_requested = true;
+                hard
+            } else {
+                soft
+            }
+        } else {
+            // No watchdog: the host signals only after teardown, so poll
+            // to start the teardown clock once the outcome is decided.
+            now + teardown
+        };
+        rt.done_cv.wait_for(&mut s.0, wake - now);
+    }
+    false
+}
+
+/// The run's host loop, on its host thread: resume whichever goroutine
+/// the scheduler granted until the outcome is decided, then stop the
+/// run and tear it down.
+fn host_main(rt: Arc<RtShared>, main_body: Body) {
+    debug_assert!(COROS.with(|c| c.borrow().is_empty()), "host thread reused mid-run");
+    let _done = HostDone(&rt);
+    CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { rt: Arc::clone(&rt), gid: Gid::MAIN }));
+    spawn_goroutine(&rt, Gid::MAIN, main_body);
+    rt.state.lock().schedule_next();
+    loop {
+        let g = {
+            let mut s = rt.state.lock();
+            if s.outcome.is_some() {
+                s.stop();
+                break;
+            }
+            s.granted.take().expect("a goroutine reaches the host only after a grant or an outcome")
+        };
+        resume(g);
+    }
+    teardown();
+    CURRENT.with(|c| *c.borrow_mut() = None);
+}
+
+/// Signals the waiting caller once the host is done with its run —
+/// also if the host loop itself panicked, so the caller fails loudly
+/// instead of waiting forever.
+struct HostDone<'a>(&'a RtShared);
+
+impl Drop for HostDone<'_> {
+    fn drop(&mut self) {
+        self.0.state.lock().host_done = true;
+        self.0.done_cv.notify_one();
+    }
+}
+
+/// Switch from the running goroutine to the host loop; returns when the
+/// host resumes it with the token, and unwinds it when the host resumes
+/// it to tear the run down.
+fn switch_to_host() {
+    debug_assert_eq!(
+        SCHED_GUARDS.with(Cell::get),
+        0,
+        "a goroutine switched to the host while holding the Sched lock"
+    );
+    coro::suspend();
+    if TEARDOWN.with(Cell::get) {
+        shutdown_unwind();
+    }
+}
+
+/// Run goroutine `g`'s coroutine until it switches back to the host.
+fn resume(g: Gid) {
+    let i = (g.0 - 1) as usize;
+    let mut co =
+        COROS.with(|c| c.borrow_mut()[i].take()).expect("granted goroutine has a coroutine");
+    CURRENT.with(|c| c.borrow_mut().as_mut().expect("host context").gid = g);
+    if !co.resume() {
+        COROS.with(|c| c.borrow_mut()[i] = Some(co));
+    }
+}
+
+/// Unwind every goroutine still suspended mid-body through
+/// [`shutdown_unwind`], so each drops what it captured, and drop the
+/// bodies of those that never ran. A goroutine that swallows the unwind
+/// and blocks again is resumed (and unwound) again.
+fn teardown() {
+    TEARDOWN.with(|t| t.set(true));
+    loop {
+        let coros = COROS.with(|c| std::mem::take(&mut *c.borrow_mut()));
+        if coros.is_empty() {
+            break;
+        }
+        for (i, co) in coros.into_iter().enumerate() {
+            let Some(mut co) = co else { continue };
+            if co.started() {
+                CURRENT.with(|c| {
+                    c.borrow_mut().as_mut().expect("host context").gid = Gid(i as u64 + 1)
+                });
+                while !co.resume() {}
+            }
+        }
+    }
+    TEARDOWN.with(|t| t.set(false));
 }
 
 /// Per-run scheduler summary exported to the JSONL telemetry stream.

@@ -1,4 +1,4 @@
-//! Worker-pool regression tests that need their own process: the pool
+//! Host-pool regression tests that need their own process: the pool
 //! is a process-global created on first use, and these tests pin its
 //! environment knobs (`GOAT_POOL_MAX_IDLE`, `GOAT_TEARDOWN_TIMEOUT_MS`)
 //! before that first use. Everything lives in ONE `#[test]` so the env
@@ -6,6 +6,7 @@
 
 use goat_runtime::{go, go_named, pool, Chan, Config, Runtime, WaitGroup};
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const MAX_IDLE: usize = 4;
@@ -28,23 +29,35 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
     std::env::set_var("GOAT_TEARDOWN_TIMEOUT_MS", TEARDOWN_MS.to_string());
 
     // -- no idle-thread leak past GOAT_POOL_MAX_IDLE ------------------
-    // 12 goroutines (3× the idle cap) all complete; after the runtime
-    // is torn down, at most MAX_IDLE workers may stay parked and the
-    // surplus must have retired.
-    let r = Runtime::run(Config::new(1), || {
-        let wg = WaitGroup::new();
-        for _ in 0..(3 * MAX_IDLE) {
-            wg.add(1);
-            let wg = wg.clone();
-            go(move || wg.done());
-        }
-        wg.wait();
-    });
-    assert!(r.clean(), "{:?}", r.outcome);
+    // 12 runs (3× the idle cap) from 12 OS threads, each holding its
+    // host until all 12 are hosted at once, all complete; afterwards at
+    // most MAX_IDLE workers may stay parked and the surplus must have
+    // retired.
+    let runs = 3 * MAX_IDLE;
+    let all_hosted = Arc::new(Barrier::new(runs));
+    let callers: Vec<_> = (0..runs as u64)
+        .map(|seed| {
+            let all_hosted = Arc::clone(&all_hosted);
+            std::thread::spawn(move || {
+                Runtime::run(Config::new(seed), move || {
+                    all_hosted.wait();
+                    let wg = WaitGroup::new();
+                    wg.add(1);
+                    let wg2 = wg.clone();
+                    go(move || wg2.done());
+                    wg.wait();
+                })
+            })
+        })
+        .collect();
+    for caller in callers {
+        let r = caller.join().expect("caller thread");
+        assert!(r.clean(), "{:?}", r.outcome);
+    }
 
-    // Workers re-park just after the run's join loop observes them
-    // done, so poll until the pool fully quiesces — every spawned
-    // worker has either retired or landed on the idle stack. (Checking
+    // Hosts re-park just after they signal their run's caller, so poll
+    // until the pool fully quiesces — every spawned worker has either
+    // retired or landed on the idle stack. (Checking
     // only `idle_now <= MAX_IDLE` races: a straggler still between job
     // completion and park would re-park during the next phase and top
     // the idle stack back up to the cap.)
@@ -62,10 +75,11 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
     assert!(s.workers_retired >= 1, "surplus workers must retire, stats: {s:?}");
 
     // -- wedged worker abandoned at the teardown deadline -------------
-    // The goroutine swallows the shutdown unwind and then stalls
-    // outside all runtime primitives — the historical hang. Teardown
-    // must give up on it after GOAT_TEARDOWN_TIMEOUT_MS and its worker
-    // must be written off, not returned to the idle stack.
+    // The goroutine swallows the shutdown unwind and then stalls its
+    // host outside all runtime primitives — the historical hang. The
+    // caller must give up on the host after GOAT_TEARDOWN_TIMEOUT_MS
+    // and write its worker off, not wait for it to return to the idle
+    // stack.
     let abandoned_before = pool::stats().abandoned;
     let t0 = Instant::now();
     let r = Runtime::run(Config::new(2), || {
@@ -74,7 +88,7 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
             let _ = panic::catch_unwind(AssertUnwindSafe(|| {
                 ch.recv(); // parks forever; unwound at shutdown
             }));
-            // Wedged: off the scheduler, invisible to the parker.
+            // Wedged: off the scheduler, blocking the whole host thread.
             std::thread::sleep(Duration::from_secs(10));
         });
         goat_runtime::gosched();
@@ -101,8 +115,8 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
         (1..=MAX_IDLE).contains(&s.idle_now),
         "replacement must land on the idle stack within the cap, stats: {s:?}"
     );
-    // And the replacement is actually usable: a fresh run checks out
-    // workers without spawning beyond what the scenario needs.
+    // And the replacement is actually usable: a fresh run checks out a
+    // host without spawning beyond what the scenario needs.
     let r = Runtime::run(Config::new(3), || {
         let wg = WaitGroup::new();
         wg.add(1);

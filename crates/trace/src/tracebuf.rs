@@ -174,7 +174,7 @@ impl TraceBuf {
         }
     }
 
-    /// Poison-tolerant lock: a panicking goroutine thread must not make
+    /// Poison-tolerant lock: a panicking goroutine must not make
     /// the trace (the evidence!) unreadable.
     fn lock(&self) -> std::sync::MutexGuard<'_, TraceState> {
         self.st.lock().unwrap_or_else(|e| e.into_inner())

@@ -37,9 +37,9 @@ fn different_seeds_explore_different_schedules() {
 
 // ---------------------------------------------------------------------
 // Campaign-executor equivalence: the streaming parallel executor and the
-// goroutine worker pool are pure performance features — a campaign's
+// run-host pool are pure performance features — a campaign's
 // machine-readable summary must be byte-identical no matter how many
-// host threads ran it or whether goroutines were pooled.
+// worker threads ran it or whether its runs were hosted by the pool.
 // ---------------------------------------------------------------------
 
 use goat::core::{Goat, GoatConfig};
@@ -47,6 +47,15 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 struct KernelProgram(&'static goat::goker::BugKernel);
+
+/// Held for the whole of every campaign that runs without a fault plan
+/// and may run isolated (explicitly, or through `GOAT_ISOLATE`): it
+/// serializes the campaign with every scoped plan in this binary, whose
+/// isolated workers inherit the active plan through their environment —
+/// a concurrently running test's plan would otherwise reach them.
+fn no_plan() -> goat::runtime::faultpoint::FaultGuard {
+    goat::runtime::faultpoint::scoped("")
+}
 
 impl Program for KernelProgram {
     fn name(&self) -> &str {
@@ -66,6 +75,7 @@ fn campaign_summary_json(
     parallelism: usize,
     pool: bool,
 ) -> String {
+    let _plan = no_plan();
     let mut cfg = GoatConfig::default()
         .with_delay_bound(d)
         .with_iterations(iterations)
@@ -141,6 +151,7 @@ const KILL_ITERATIONS: usize = 2_000;
 const KILL_SEED0: u64 = 9;
 
 fn kill_resume_campaign(checkpoint: Option<&std::path::Path>) -> String {
+    let _plan = no_plan();
     let kernel = goat::goker::by_name(KILL_KERNEL).expect("kernel");
     let mut cfg = GoatConfig::default()
         .with_delay_bound(1)
@@ -208,6 +219,7 @@ fn sigkilled_campaign_resumes_byte_identically() {
 use goat::core::MemoMode;
 
 fn hot_path_summary_json(kernel: &'static goat::goker::BugKernel, memo: MemoMode) -> String {
+    let _plan = no_plan();
     let cfg = GoatConfig::default()
         .with_delay_bound(2)
         .with_iterations(24)
@@ -250,6 +262,7 @@ fn memo_verify_mode_passes_across_kernels() {
             .with_seed0(11)
             .keep_running()
             .with_memo(MemoMode::Verify);
+        let _plan = no_plan();
         let r = Goat::new(cfg).test(Arc::new(KernelProgram(kernel)));
         assert_eq!(r.records.len(), 30, "{name}: verify campaign ran to budget");
     }
@@ -290,6 +303,7 @@ fn isolated_summary_json(
     stop_on_bug: bool,
     isolate: IsolateMode,
 ) -> String {
+    let _plan = no_plan();
     let mut cfg = GoatConfig::default()
         .with_delay_bound(d)
         .with_iterations(iterations)
@@ -333,6 +347,7 @@ fn campaign_summaries_identical_with_process_isolation() {
 const ISO_KILL_ITERATIONS: usize = 400;
 
 fn iso_kill_campaign(checkpoint: Option<&std::path::Path>) -> String {
+    let _plan = no_plan();
     let kernel = goat::goker::by_name(KILL_KERNEL).expect("kernel");
     let mut cfg = GoatConfig::default()
         .with_delay_bound(1)
@@ -410,6 +425,7 @@ fn ipc_summary_json(
     ipc: IpcMode,
     batch: usize,
 ) -> String {
+    let _plan = no_plan();
     let mut cfg = GoatConfig::default()
         .with_delay_bound(d)
         .with_iterations(iterations)
@@ -618,13 +634,17 @@ fn pooled_workers_reinit_when_the_base_config_changes() {
         .with_isolate(IsolateMode::Proc)
         .with_ipc(IpcMode::Bin)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
-    let _ = Goat::new(prime).test(Arc::new(KernelProgram(kernel)));
+    let _ = {
+        let _plan = no_plan();
+        Goat::new(prime).test(Arc::new(KernelProgram(kernel)))
+    };
 
     // Same pool geometry, different base config: an 8-step budget every
     // run exhausts. The checked-in worker is eligible for reuse, so only
     // an Init-hash mismatch stands between it and running with the stale
     // 200k budget.
     let tiny_budget_summary = |isolate: IsolateMode| {
+        let _plan = no_plan();
         let mut cfg = GoatConfig::default()
             .with_delay_bound(1)
             .with_iterations(6)
