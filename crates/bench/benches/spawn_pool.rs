@@ -1,23 +1,23 @@
 //! Benchmarks of the pooled execution engine: goroutine spawn
-//! throughput with the run hosted on the shared run-host pool or on a
-//! fresh thread, and a small campaign under the sequential vs. the
-//! streaming parallel executor. Goroutines are coroutines on the run's
-//! host thread, so `pthread_create` is at most once per run.
+//! throughput with the run hosted on the shared run-host pool, and a
+//! small campaign under the sequential vs. the streaming parallel
+//! executor. Goroutines are coroutines on the run's host thread, so
+//! `pthread_create` is at most once per run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use goat_core::{FnProgram, Goat, GoatConfig};
 use goat_runtime::{go, Config, Runtime, WaitGroup};
 use std::sync::Arc;
 
-fn quiet(seed: u64, pool: bool) -> Config {
-    Config::new(seed).with_native_preempt_prob(0.0).with_trace(false).with_pool(pool)
+fn quiet(seed: u64) -> Config {
+    Config::new(seed).with_native_preempt_prob(0.0).with_trace(false)
 }
 
 /// One run spawning `n` goroutines that immediately finish: dominated
 /// by goroutine creation cost (coroutine stack checkout) plus one host
-/// thread checkout or creation.
-fn spawn_burst(seed: u64, pool: bool, n: usize) {
-    let r = Runtime::run(quiet(seed, pool), move || {
+/// thread checkout.
+fn spawn_burst(seed: u64, n: usize) {
+    let r = Runtime::run(quiet(seed), move || {
         let wg = WaitGroup::new();
         for _ in 0..n {
             wg.add(1);
@@ -31,8 +31,7 @@ fn spawn_burst(seed: u64, pool: bool, n: usize) {
 
 fn bench_spawn_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("spawn_64_goroutines");
-    g.bench_function("pooled", |b| b.iter(|| spawn_burst(1, true, 64)));
-    g.bench_function("fresh_threads", |b| b.iter(|| spawn_burst(1, false, 64)));
+    g.bench_function("pooled", |b| b.iter(|| spawn_burst(1, 64)));
     g.finish();
 }
 
@@ -48,12 +47,9 @@ fn campaign_program() -> Arc<FnProgram> {
     }))
 }
 
-fn run_campaign(parallelism: usize, pool: bool) {
-    let cfg = GoatConfig::default()
-        .with_iterations(24)
-        .with_parallelism(parallelism)
-        .with_pool(pool)
-        .keep_running();
+fn run_campaign(parallelism: usize) {
+    let cfg =
+        GoatConfig::default().with_iterations(24).with_parallelism(parallelism).keep_running();
     let r = Goat::new(cfg).test(campaign_program());
     assert_eq!(r.records.len(), 24);
 }
@@ -61,9 +57,8 @@ fn run_campaign(parallelism: usize, pool: bool) {
 fn bench_campaign_executors(c: &mut Criterion) {
     let mut g = c.benchmark_group("campaign_24_iters");
     g.sample_size(10);
-    g.bench_function("sequential_pooled", |b| b.iter(|| run_campaign(1, true)));
-    g.bench_function("streaming_p4_pooled", |b| b.iter(|| run_campaign(4, true)));
-    g.bench_function("streaming_p4_unpooled", |b| b.iter(|| run_campaign(4, false)));
+    g.bench_function("sequential_pooled", |b| b.iter(|| run_campaign(1)));
+    g.bench_function("streaming_p4_pooled", |b| b.iter(|| run_campaign(4)));
     g.finish();
 }
 

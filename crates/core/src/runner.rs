@@ -126,9 +126,9 @@ pub struct GoatConfig {
     /// the `GOAT_JOBS` environment variable (1 when unset), the same
     /// default as [`crate::SuiteConfig::jobs`].
     pub parallelism: usize,
-    /// Host each run on the shared run-host pool rather than a fresh
-    /// thread (see [`goat_runtime::Config::pool`]); scheduling is
-    /// identical either way, the pool only removes thread-creation cost.
+    /// No effect (see [`goat_runtime::Config::pool`]): runs are always
+    /// hosted on the shared run-host pool. Kept only because the
+    /// benchmark crate reads it.
     pub pool: bool,
     /// Wall-clock watchdog per iteration, milliseconds (see
     /// [`goat_runtime::Config::iter_timeout_ms`]). Defaults to the
@@ -293,7 +293,7 @@ impl GoatConfig {
         self
     }
 
-    /// Enable or disable the shared run-host pool.
+    /// No effect (see [`GoatConfig::pool`]).
     pub fn with_pool(mut self, on: bool) -> Self {
         self.pool = on;
         self

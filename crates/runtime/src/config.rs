@@ -101,12 +101,10 @@ pub struct Config {
     /// [`SchedPolicy::Replay`] the strategy only drives the
     /// after-divergence fallback.
     pub strategy: StrategyKind,
-    /// Host the run on a pooled thread from the shared run-host pool
-    /// (`true`) or on a fresh OS thread (`false`). Either way all of the
-    /// run's goroutines are coroutines on that one host thread, and
-    /// scheduling semantics and traces are identical; the pool only
-    /// removes thread-creation cost. The pool's idle-retention size is
-    /// set by the `GOAT_POOL_MAX_IDLE` environment variable.
+    /// No effect: every run is hosted on a thread of the shared run-host
+    /// pool, whose idle retention the `GOAT_POOL_MAX_IDLE` environment
+    /// variable bounds (`0` gives each run a fresh host thread). Kept
+    /// only because the benchmark crate reads it.
     pub pool: bool,
     /// Wall-clock watchdog bound per run, in milliseconds (defaults from
     /// the `GOAT_ITER_TIMEOUT_MS` environment variable; `None` disables
@@ -171,7 +169,7 @@ impl Config {
         self.with_policy(SchedPolicy::Replay(log))
     }
 
-    /// Host runs on the shared run-host pool, or on a fresh thread each.
+    /// No effect (see [`Config::pool`]).
     pub fn with_pool(mut self, on: bool) -> Self {
         self.pool = on;
         self

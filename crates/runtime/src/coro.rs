@@ -32,8 +32,10 @@ use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr;
 
-/// Usable bytes of one coroutine stack. Only touched pages cost memory.
-const STACK_SIZE: usize = 1024 * 1024;
+/// Usable bytes of one coroutine stack: a Rust thread's default, the
+/// budget goroutines had when each ran on its own OS thread. Only
+/// touched pages cost memory.
+const STACK_SIZE: usize = 2 * 1024 * 1024;
 
 /// Stacks each host thread keeps for reuse.
 const STACK_CACHE: usize = 64;

@@ -13,8 +13,9 @@
 //!   instances, so campaign iterations and parallel campaign workers
 //!   reuse each other's host threads.
 //! * **No semantic impact** — which thread hosts a run is invisible to
-//!   scheduling, tracing and replay. [`crate::Config::pool`] turns the
-//!   pool off to give each run a fresh host thread instead.
+//!   scheduling, tracing and replay. Every run is hosted here;
+//!   `GOAT_POOL_MAX_IDLE=0` retires each worker after its run, which
+//!   gives every run a fresh host thread.
 //! * **Bounded retention** — at most `GOAT_POOL_MAX_IDLE` workers
 //!   (default 256) stay parked waiting for work; excess workers exit.
 //! * **Wedge-proof** — a worker is returned only by its run finishing

@@ -23,8 +23,8 @@
 //! chosen instead — the preemption/multi-processor noise that makes rare
 //! interleavings rare.
 //!
-//! [`Runtime::run`] hands the whole run to one host thread (pooled or
-//! fresh, per [`Config::pool`]) and waits for it on a condvar, enforcing
+//! [`Runtime::run`] hands the whole run to one host thread from the
+//! shared run-host pool and waits for it on a condvar, enforcing
 //! the wall-clock watchdog and the teardown deadline from the calling
 //! thread: a goroutine stuck outside every runtime primitive wedges only
 //! its host, which the caller then abandons.
@@ -1013,7 +1013,7 @@ impl Runtime {
         f: F,
     ) -> RunResult {
         install_panic_hook();
-        let pooled = cfg.pool;
+        let teardown = teardown_timeout();
         let seed = cfg.seed;
         let iter_timeout_ms = cfg.iter_timeout_ms;
         let tb = Arc::new(TraceBuf::new(cfg.trace, cfg.max_trace_events));
@@ -1050,26 +1050,16 @@ impl Runtime {
             None => Box::new(f),
         };
         let host_rt = Arc::clone(&rt);
-        let job: Box<dyn FnOnce() + Send> = Box::new(move || host_main(host_rt, body));
-        let hosted = if pooled {
-            crate::pool::global().execute(job)
-        } else {
-            // Detached: the caller waits on `done_cv`, not on a join, so a
-            // wedged host can be abandoned at the teardown deadline.
-            std::thread::Builder::new()
-                .name("goat-host".to_string())
-                .spawn(job)
-                .map(drop)
-                .map_err(|e| format!("failed to spawn run host thread: {e}"))
-        };
-        if let Err(reason) = hosted {
+        if let Err(reason) =
+            crate::pool::global().execute(Box::new(move || host_main(host_rt, body)))
+        {
             // No host ever ran: the harness, not the program, failed.
             let mut s = rt.state.lock();
             s.set_outcome(RunOutcome::InfraFailure { reason });
             s.stop();
             s.host_done = true;
         }
-        if await_host(&rt, iter_timeout_ms) && pooled {
+        if await_host(&rt, iter_timeout_ms, teardown) {
             // The host is wedged in a goroutine stuck outside runtime
             // primitives: write it off and replace it.
             crate::pool::note_abandoned();
@@ -1121,16 +1111,11 @@ impl Runtime {
 /// a cooperative abort through the scheduler gate, and at the hard
 /// deadline (soft + grace) it decides the outcome itself — the only way
 /// out when the running goroutine is stuck outside runtime primitives.
-/// Once the outcome is decided, the host gets the teardown deadline
-/// (`GOAT_TEARDOWN_TIMEOUT_MS`, default 5 s) to finish. Returns true when
-/// that deadline passed and the host was abandoned.
-fn await_host(rt: &RtShared, iter_timeout_ms: Option<u64>) -> bool {
-    let teardown = Duration::from_millis(
-        std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(5_000),
-    );
+/// Once the outcome is decided, the host gets the `teardown` deadline to
+/// finish. Returns true when that deadline passed and the host was
+/// abandoned; the run is then stopped here, so its trace ends in
+/// `ProcStop` however late the host would have stopped it.
+fn await_host(rt: &RtShared, iter_timeout_ms: Option<u64>, teardown: Duration) -> bool {
     let mut s = rt.state.lock();
     let started = s.started;
     let watchdog = iter_timeout_ms.map(|ms| {
@@ -1141,6 +1126,7 @@ fn await_host(rt: &RtShared, iter_timeout_ms: Option<u64>) -> bool {
         let now = Instant::now();
         let wake = if let Some(at) = s.outcome_at {
             if now >= at + teardown {
+                s.stop();
                 return true;
             }
             at + teardown
@@ -1162,12 +1148,25 @@ fn await_host(rt: &RtShared, iter_timeout_ms: Option<u64>) -> bool {
             }
         } else {
             // No watchdog: the host signals only after teardown, so poll
-            // to start the teardown clock once the outcome is decided.
-            now + teardown
+            // to start the teardown clock once the outcome is decided
+            // (at least 1 ms apart, so a zero deadline does not spin).
+            now + teardown.max(Duration::from_millis(1))
         };
         rt.done_cv.wait_for(&mut s.0, wake - now);
     }
     false
+}
+
+/// How long a run's host may take to tear down once the outcome is
+/// decided before the caller abandons it (`GOAT_TEARDOWN_TIMEOUT_MS`,
+/// default 5 s).
+fn teardown_timeout() -> Duration {
+    Duration::from_millis(
+        std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
+            .ok()
+            .and_then(|v| v.parse::<u64>().ok())
+            .unwrap_or(5_000),
+    )
 }
 
 /// The run's host loop, on its host thread: resume whichever goroutine
@@ -1579,5 +1578,41 @@ mod tests {
         assert_eq!(worker.parent, Some(Gid::MAIN));
         let nested = tree.nodes().find(|n| n.name == "nested").expect("nested");
         assert_eq!(nested.parent, Some(worker.g));
+    }
+
+    /// A host descheduled between deciding the outcome and stopping the
+    /// run is abandoned at the teardown deadline, and the trace the
+    /// caller takes still ends in exactly one `ProcStop`. A zero deadline
+    /// returns without spinning on the run lock.
+    #[test]
+    fn abandoned_host_still_ends_the_trace_in_proc_stop() {
+        for teardown_ms in [0, 1] {
+            let cfg = Config::new(0);
+            let tb = Arc::new(TraceBuf::new(true, cfg.max_trace_events));
+            let rt = Arc::new(RtShared {
+                state: SchedLock(Mutex::new(Sched::new(cfg, None, Arc::clone(&tb)))),
+                tb,
+                monitor: None,
+                done_cv: Condvar::new(),
+            });
+            rt.state.lock().emit(Gid::RUNTIME, EventKind::ProcStart, None);
+            let (release, stalled) = std::sync::mpsc::channel::<()>();
+            let host_rt = Arc::clone(&rt);
+            let host = std::thread::spawn(move || {
+                host_rt.state.lock().set_outcome(RunOutcome::Completed);
+                // Stalled until the caller has given up on this host.
+                stalled.recv().expect("caller releases the host");
+                let _done = HostDone(&host_rt);
+                host_rt.state.lock().stop();
+            });
+            let abandoned = await_host(&rt, None, Duration::from_millis(teardown_ms));
+            let (trace, _) = rt.tb.take();
+            release.send(()).expect("host waits for release");
+            host.join().expect("host thread");
+            assert!(abandoned, "teardown {teardown_ms} ms: a stalled host must be abandoned");
+            let events = trace.expect("traced");
+            assert_eq!(events.last().map(|e| &e.kind), Some(&EventKind::ProcStop));
+            assert_eq!(events.iter().filter(|e| e.kind == EventKind::ProcStop).count(), 1);
+        }
     }
 }
