@@ -56,13 +56,6 @@ fn bench_analysis(c: &mut Criterion) {
             assert!(cov.covered.len() > 5);
         })
     });
-    c.bench_function("ect_json_roundtrip", |b| {
-        b.iter(|| {
-            let json = ect.to_json().expect("serialize");
-            let back = Ect::from_json(&json).expect("parse");
-            assert_eq!(back.len(), ect.len());
-        })
-    });
     c.bench_function("well_formed_check", |b| b.iter(|| ect.well_formed().expect("well-formed")));
 }
 

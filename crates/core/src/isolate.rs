@@ -7,33 +7,28 @@
 //! With `GOAT_ISOLATE=proc` the runner instead drives a pool of
 //! persistent **worker subprocesses** — one `goat --worker` child per
 //! parallel lane — over a length-prefixed frame protocol on
-//! stdin/stdout. Framing is always `[u32 LE payload length][payload]`;
-//! `GOAT_IPC` selects the payload encoding:
-//!
-//! * `bin` (the default) — the compact binary data plane of
-//!   [`crate::wire`]: a per-checkout `Init` frame carries the
-//!   campaign-constant [`Config`] base once, each `Run` frame carries
-//!   only the per-run delta (seed, delay bound, yield probability,
-//!   strategy), and result traces travel through the varint-delta
-//!   event codec of [`goat_trace::wire`];
-//! * `json` — the debug/compat path: self-describing JSON frames with
-//!   the full `Config` in every `Run`.
+//! stdin/stdout. Framing is `[u32 LE payload length][payload]`, and the
+//! payload is always the compact binary codec of [`crate::wire`]: a
+//! per-checkout `Init` frame carries the campaign-constant [`Config`]
+//! base once, each `Run` frame carries only the per-run delta (seed,
+//! delay bound, yield probability, strategy), and result traces travel
+//! through the varint-delta event codec of [`goat_trace::wire`].
 //!
 //! ```text
 //!   orchestrator                       worker
 //!        | ---- spawn `goat --worker` --> |   (rlimit jail applied)
 //!        | <--------- Ready ------------- |   handshake
-//!        | -------- Init{base} ---------> |   (bin; once per checkout)
+//!        | -------- Init{base} ---------> |   (once per checkout)
 //!        | ---- Run{iter, delta} ×batch > |   (GOAT_IPC_BATCH per write)
 //!        | <--------- Ack{iter} --------- |   (transport latency sample)
-//!        | <-------- Heartbeat{iter} ---- |   every GOAT_WORKER_HEARTBEAT_MS
+//!        | <-------- Heartbeat{iter} ---- |   every HEARTBEAT (100 ms)
 //!        | <-- Result{iter, result} ----- |
 //! ```
 //!
 //! Every knob still travels from the orchestrator (in `Init` + `Run`),
 //! so a worker cannot skew a run through its own environment: for
 //! non-crashing runs the [`RunResult`] coming back is **byte-identical**
-//! to an in-process run of the same seed in every IPC mode (proven in
+//! to an in-process run of the same seed (proven in
 //! `tests/determinism.rs`), and campaign reports are unchanged between
 //! modes.
 //!
@@ -45,8 +40,8 @@
 //! status or signal, stderr tail, last acknowledged iteration) and the
 //! run is recorded as [`RunOutcome::Crashed`]; the campaign replaces
 //! the worker and carries on. Corrupt frames (length prefix over the
-//! `GOAT_IPC_MAX_FRAME_MB` cap, undecodable payloads) and protocol
-//! violations stay retried InfraFailures in both encodings.
+//! [`MAX_FRAME`] cap, undecodable payloads) and protocol violations
+//! stay retried InfraFailures.
 //!
 //! Workers jail themselves at startup with `setrlimit`: core dumps are
 //! disabled, the address space is capped (`GOAT_WORKER_RLIMIT_AS_MB`,
@@ -76,35 +71,18 @@ use goat_runtime::{Config, CrashForensics, RunOutcome, RunResult, SchedCounters,
 /// Environment variable selecting the isolation mode (`off` | `proc`).
 pub const ISOLATE_ENV: &str = "GOAT_ISOLATE";
 
-/// Environment variable selecting the IPC payload encoding
-/// (`bin` | `json`; unset means `bin`).
-pub const IPC_ENV: &str = "GOAT_IPC";
-
 /// Environment variable setting how many `Run` frames the orchestrator
 /// sends per write (default 1; capped by the guided-campaign lag).
 pub const IPC_BATCH_ENV: &str = "GOAT_IPC_BATCH";
-
-/// Environment variable setting the frame-payload cap in MiB (default
-/// 64, clamped to [1, 4096]); a length prefix above the cap is treated
-/// as a corrupt stream, never as an allocation request.
-pub const IPC_MAX_FRAME_MB_ENV: &str = "GOAT_IPC_MAX_FRAME_MB";
 
 /// Environment variable naming the worker command to spawn (defaults to
 /// the current executable, which works for the `goat` CLI).
 pub const WORKER_CMD_ENV: &str = "GOAT_WORKER_CMD";
 
-/// Environment variable setting the worker heartbeat period in
-/// milliseconds (default 100).
-pub const HEARTBEAT_MS_ENV: &str = "GOAT_WORKER_HEARTBEAT_MS";
-
 /// Environment variable setting how long the orchestrator tolerates
 /// frame silence (no ack/heartbeat/result) before SIGKILLing a worker,
 /// in milliseconds (default 5000).
 pub const GRACE_MS_ENV: &str = "GOAT_WORKER_GRACE_MS";
-
-/// Environment variable setting the spawn-to-`Ready` handshake deadline
-/// in milliseconds (default 10000).
-pub const SPAWN_GRACE_MS_ENV: &str = "GOAT_WORKER_SPAWN_GRACE_MS";
 
 /// Environment variable capping the worker address space in MiB
 /// (default 4096; `0` disables the cap).
@@ -114,6 +92,24 @@ pub const RLIMIT_AS_MB_ENV: &str = "GOAT_WORKER_RLIMIT_AS_MB";
 /// exceeding it kills the worker with `SIGXCPU`).
 pub const RLIMIT_CPU_S_ENV: &str = "GOAT_WORKER_RLIMIT_CPU_S";
 
+/// The frame-payload cap: a length prefix above it is a corrupt stream,
+/// never an allocation request. A result frame carries at most
+/// `Config::max_trace_events` (1M) events at a few varint bytes each,
+/// so a real frame stays well under 64 MiB, while a lying prefix can
+/// make the reader buffer no more than this.
+pub const MAX_FRAME: usize = 64 << 20;
+
+/// Worker heartbeat period: well inside the default 5 s silence grace
+/// (and the 500 ms one CI runs with), and cheap — one frame of at most
+/// 15 bytes per tick.
+const HEARTBEAT: Duration = Duration::from_millis(100);
+
+/// Spawn-to-`Ready` handshake deadline: a cold `exec` plus the rlimit
+/// jail takes milliseconds, so 10 s only trips on a worker command that
+/// will never answer (it is then marked broken and runs fall back
+/// in-process).
+const SPAWN_GRACE: Duration = Duration::from_secs(10);
+
 /// Stderr lines retained per worker for crash forensics.
 const STDERR_TAIL_LINES: usize = 40;
 
@@ -121,11 +117,6 @@ const STDERR_TAIL_LINES: usize = 40;
 /// length prefix under the cap cannot force a giant upfront
 /// allocation, because the buffer grows only as bytes actually arrive.
 const READ_CHUNK: usize = 1024 * 1024;
-
-/// The frame-payload cap ([`IPC_MAX_FRAME_MB_ENV`], default 64 MiB).
-pub(crate) fn max_frame() -> usize {
-    (env_u64(IPC_MAX_FRAME_MB_ENV, 64).clamp(1, 4096) as usize) << 20
-}
 
 /// Where iterations execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -164,130 +155,19 @@ impl std::fmt::Display for IsolateMode {
     }
 }
 
-/// The IPC payload encoding on the worker wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IpcMode {
-    /// Compact binary frames ([`crate::wire`]) — the default.
-    #[default]
-    Bin,
-    /// Self-describing JSON frames — the debug/compat path.
-    Json,
-}
-
-impl IpcMode {
-    /// Parse an encoding name (`bin`/`binary` → [`IpcMode::Bin`],
-    /// `json` → [`IpcMode::Json`]; empty means the default).
-    pub fn parse(s: &str) -> Option<IpcMode> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "bin" | "binary" => Some(IpcMode::Bin),
-            "json" => Some(IpcMode::Json),
-            _ => None,
-        }
-    }
-
-    /// The encoding selected by [`IPC_ENV`]; unset or unrecognized
-    /// values mean [`IpcMode::Bin`].
-    pub fn from_env() -> IpcMode {
-        std::env::var(IPC_ENV).ok().and_then(|v| IpcMode::parse(&v)).unwrap_or_default()
-    }
-}
-
-impl std::fmt::Display for IpcMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IpcMode::Bin => write!(f, "bin"),
-            IpcMode::Json => write!(f, "json"),
-        }
-    }
-}
-
-/// Resolved IPC data-plane settings for one campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct IpcSpec {
-    /// Payload encoding.
-    pub mode: IpcMode,
-    /// `Run` frames per pipe write (≥ 1).
-    pub batch: usize,
-}
-
-impl Default for IpcSpec {
-    fn default() -> Self {
-        IpcSpec { mode: IpcMode::from_env(), batch: 1 }
-    }
-}
-
-/// One message on the JSON worker wire, encoded as `[u32 LE length][JSON]`.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub(crate) enum Frame {
-    /// Worker → orchestrator: the handshake; sent once at startup after
-    /// the rlimit jail is in place.
-    Ready,
-    /// Orchestrator → worker: execute one iteration.
-    Run {
-        /// 1-based campaign iteration (forensics context only).
-        iter: u64,
-        /// Program name, resolved by the worker's registry.
-        program: String,
-        /// The complete runtime configuration — every knob travels in
-        /// the frame so worker-side environment cannot skew the run.
-        cfg: Config,
-    },
-    /// Worker → orchestrator: the `Run` frame was received; the gap
-    /// between send and ack is the IPC latency sample.
-    Ack {
-        /// Iteration being acknowledged.
-        iter: u64,
-    },
-    /// Worker → orchestrator: liveness beacon while (possibly) busy.
-    Heartbeat {
-        /// Iteration the worker is currently serving (0 when idle).
-        iter: u64,
-    },
-    /// Worker → orchestrator: the iteration's complete result.
-    Result {
-        /// Iteration the result belongs to.
-        iter: u64,
-        /// The run's full result, bit-for-bit what an in-process run
-        /// of the same [`Config`] produces (boxed: this variant is two
-        /// orders of magnitude larger than the others).
-        result: Box<RunResult>,
-    },
-}
-
-/// Serialize one JSON frame into its wire form (length prefix + JSON).
-pub(crate) fn encode_frame(frame: &Frame) -> io::Result<Vec<u8>> {
-    let json = serde_json::to_string(frame)
-        .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("encode frame: {e}")))?;
-    let payload = json.as_bytes();
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(payload);
-    Ok(buf)
-}
-
-/// Write one frame as a single `write_all` + flush, so concurrent
-/// writers holding the same lock can never interleave partial frames.
-pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    let buf = encode_frame(frame)?;
-    w.write_all(&buf)?;
-    w.flush()
-}
-
-/// Read one frame payload (both encodings share the framing).
-/// [`ErrorKind::UnexpectedEof`] means the peer is gone,
-/// [`ErrorKind::InvalidData`] means the length prefix exceeds the
-/// [`max_frame`] cap. The length is validated *before* any allocation,
+/// Read one frame payload. [`ErrorKind::UnexpectedEof`] means the
+/// peer is gone, [`ErrorKind::InvalidData`] means the length prefix
+/// exceeds the [`MAX_FRAME`] cap. The length is validated *before* any allocation,
 /// and the buffer then grows only as bytes actually arrive, so a
 /// corrupt under-cap prefix cannot force a giant upfront allocation.
 pub(crate) fn read_payload(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
-    let cap = max_frame();
-    if len > cap {
+    if len > MAX_FRAME {
         return Err(io::Error::new(
             ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {cap}-byte cap"),
+            format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
     let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
@@ -301,34 +181,12 @@ pub(crate) fn read_payload(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Parse a JSON frame payload.
-pub(crate) fn parse_json_frame(payload: &[u8]) -> io::Result<Frame> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("frame is not UTF-8: {e}")))?;
-    serde_json::from_str(text)
-        .map_err(|e| io::Error::new(ErrorKind::InvalidData, format!("frame does not parse: {e}")))
-}
-
-/// Read one JSON frame (worker side + tests).
-pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
-    let payload = read_payload(r)?;
-    parse_json_frame(&payload)
-}
-
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
-fn heartbeat_ms() -> u64 {
-    env_u64(HEARTBEAT_MS_ENV, 100).max(1)
-}
-
 fn grace_ms() -> u64 {
     env_u64(GRACE_MS_ENV, 5000).max(1)
-}
-
-fn spawn_grace_ms() -> u64 {
-    env_u64(SPAWN_GRACE_MS_ENV, 10_000).max(1)
 }
 
 /// Resource jail and fault raising via raw libc calls (no crates).
@@ -450,11 +308,6 @@ fn infra(reason: impl Into<String>) -> RunResult {
     synth_result(RunOutcome::InfraFailure { reason: reason.into() })
 }
 
-fn write_frame_locked(out: &Arc<Mutex<io::Stdout>>, frame: &Frame) -> io::Result<()> {
-    let mut out = out.lock().expect("worker stdout lock");
-    write_frame(&mut *out, frame)
-}
-
 fn write_wire_locked(out: &Arc<Mutex<io::Stdout>>, frame: &WireFrame) -> io::Result<()> {
     let mut buf = Vec::with_capacity(24);
     wire::encode_frame_into(frame, &mut buf)?;
@@ -473,8 +326,7 @@ enum FaultFlow {
     Exit(i32),
 }
 
-/// Fire any `GOAT_FAULT=worker:…` fault keyed on this run's seed;
-/// shared by both serve loops so fault semantics are encoding-agnostic.
+/// Fire any `GOAT_FAULT=worker:…` fault keyed on this run's seed.
 fn worker_fault_flow(
     stdout: &Arc<Mutex<io::Stdout>>,
     muted: &AtomicBool,
@@ -507,8 +359,7 @@ fn worker_fault_flow(
             );
             let mut out = stdout.lock().expect("worker stdout lock");
             // An impossible length prefix: decoded as a corrupt
-            // stream, never as an allocation request — in either
-            // encoding, since framing is shared.
+            // stream, never as an allocation request.
             let _ = out.write_all(&[0xff, 0xff, 0xff, 0xff, 0xde, 0xad, 0xbe, 0xef]);
             let _ = out.flush();
             drop(out);
@@ -521,12 +372,11 @@ fn worker_fault_flow(
 /// Serve the worker side of the protocol on stdin/stdout until the
 /// orchestrator closes the pipe; returns the process exit code.
 ///
-/// `resolve` maps a program name from a `Run`/`Init` frame to the
-/// program to execute (the CLI passes the goker kernel registry). The
-/// worker jails itself with `setrlimit` before answering `Ready`,
-/// streams `Heartbeat` frames from a side thread, and answers every
-/// `Run` with `Ack` + `Result`. The payload encoding is chosen by
-/// [`IPC_ENV`], which the orchestrator sets when spawning.
+/// `resolve` maps a program name from an `Init` frame to the program to
+/// execute (the CLI passes the goker kernel registry). The worker jails
+/// itself with `setrlimit` before answering `Ready`, streams
+/// `Heartbeat` frames from a side thread, takes the campaign base from
+/// each `Init`, and answers every `Run` delta with `Ack` + `Result`.
 /// Injected worker faults (`GOAT_FAULT=worker:…`) fire here, keyed on
 /// the run's seed.
 pub fn serve_worker(resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>) -> i32 {
@@ -536,12 +386,7 @@ pub fn serve_worker(resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>) -> i32 {
     // Set when an injected fault must silence the liveness beacon so
     // the orchestrator's no-heartbeat watchdog can be exercised.
     let muted = Arc::new(AtomicBool::new(false));
-    let mode = IpcMode::from_env();
-    let send_ready = match mode {
-        IpcMode::Json => write_frame_locked(&stdout, &Frame::Ready),
-        IpcMode::Bin => write_wire_locked(&stdout, &WireFrame::Ready),
-    };
-    if send_ready.is_err() {
+    if write_wire_locked(&stdout, &WireFrame::Ready).is_err() {
         return 1;
     }
     {
@@ -550,73 +395,16 @@ pub fn serve_worker(resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>) -> i32 {
         let muted = Arc::clone(&muted);
         let _ =
             std::thread::Builder::new().name("goat-worker-heartbeat".into()).spawn(move || loop {
-                std::thread::sleep(Duration::from_millis(heartbeat_ms()));
+                std::thread::sleep(HEARTBEAT);
                 if muted.load(Ordering::Relaxed) {
                     continue;
                 }
                 let iter = current_iter.load(Ordering::Relaxed);
-                let sent = match mode {
-                    IpcMode::Json => write_frame_locked(&stdout, &Frame::Heartbeat { iter }),
-                    IpcMode::Bin => write_wire_locked(&stdout, &WireFrame::Heartbeat { iter }),
-                };
-                if sent.is_err() {
+                if write_wire_locked(&stdout, &WireFrame::Heartbeat { iter }).is_err() {
                     return;
                 }
             });
     }
-    match mode {
-        IpcMode::Json => serve_json(resolve, &stdout, &current_iter, &muted),
-        IpcMode::Bin => serve_bin(resolve, &stdout, &current_iter, &muted),
-    }
-}
-
-/// The JSON serve loop: self-contained `Run{cfg}` frames.
-fn serve_json(
-    resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>,
-    stdout: &Arc<Mutex<io::Stdout>>,
-    current_iter: &AtomicU64,
-    muted: &AtomicBool,
-) -> i32 {
-    let mut stdin = io::stdin().lock();
-    loop {
-        let frame = match read_frame(&mut stdin) {
-            Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => return 0,
-            Err(e) => {
-                eprintln!("goat-worker: protocol error on stdin: {e}");
-                return 1;
-            }
-        };
-        let Frame::Run { iter, program, cfg } = frame else {
-            eprintln!("goat-worker: unexpected frame (expected Run)");
-            return 1;
-        };
-        match worker_fault_flow(stdout, muted, iter, cfg.seed) {
-            FaultFlow::Exit(code) => return code,
-            FaultFlow::SkipRun => continue,
-            FaultFlow::Proceed => {}
-        }
-        current_iter.store(iter, Ordering::Relaxed);
-        if write_frame_locked(stdout, &Frame::Ack { iter }).is_err() {
-            return 1;
-        }
-        let result = match resolve(&program) {
-            Some(p) => goat_runtime::Runtime::run(cfg, crate::runner::Goat::instrumented(p)),
-            None => infra(format!("worker: unknown program {program:?}")),
-        };
-        if write_frame_locked(stdout, &Frame::Result { iter, result: Box::new(result) }).is_err() {
-            return 1;
-        }
-    }
-}
-
-/// The binary serve loop: per-checkout `Init`, per-run deltas.
-fn serve_bin(
-    resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>,
-    stdout: &Arc<Mutex<io::Stdout>>,
-    current_iter: &AtomicU64,
-    muted: &AtomicBool,
-) -> i32 {
     let mut stdin = io::stdin().lock();
     let mut program: Option<String> = None;
     let mut base: Option<Config> = None;
@@ -646,13 +434,13 @@ fn serve_bin(
                     eprintln!("goat-worker: Run frame before Init");
                     return 1;
                 };
-                match worker_fault_flow(stdout, muted, iter, seed) {
+                match worker_fault_flow(&stdout, &muted, iter, seed) {
                     FaultFlow::Exit(code) => return code,
                     FaultFlow::SkipRun => continue,
                     FaultFlow::Proceed => {}
                 }
                 current_iter.store(iter, Ordering::Relaxed);
-                if write_wire_locked(stdout, &WireFrame::Ack { iter }).is_err() {
+                if write_wire_locked(&stdout, &WireFrame::Ack { iter }).is_err() {
                     return 1;
                 }
                 let mut cfg = base.clone();
@@ -667,7 +455,7 @@ fn serve_bin(
                     None => infra(format!("worker: unknown program {program:?}")),
                 };
                 let frame = WireFrame::Result { iter, result: Box::new(result) };
-                if write_wire_locked(stdout, &frame).is_err() {
+                if write_wire_locked(&stdout, &frame).is_err() {
                     return 1;
                 }
             }
@@ -723,19 +511,19 @@ struct Worker {
 /// or handshake; broken commands fall back in-process forever (and are
 /// reported once).
 ///
-/// Idle workers are keyed by command, IPC mode *and* the fault plan
-/// that was active at spawn time (the plan travels in the worker's
-/// environment), so a worker spawned under one codec or `GOAT_FAULT`
-/// configuration is never reused by a campaign running under another.
+/// Idle workers are keyed by command *and* the fault plan that was
+/// active at spawn time (the plan travels in the worker's environment),
+/// so a worker spawned under one `GOAT_FAULT` configuration is never
+/// reused by a campaign running under another.
 #[derive(Default)]
 struct PoolState {
     idle: HashMap<String, Vec<Worker>>,
     broken: HashSet<String>,
 }
 
-fn pool_key(cmd: &str, spec: &IpcSpec) -> String {
+fn pool_key(cmd: &str) -> String {
     let fault = faultpoint::current_spec().unwrap_or_default();
-    format!("{cmd}\u{1f}{}\u{1f}{fault}", spec.mode)
+    format!("{cmd}\u{1f}{fault}")
 }
 
 fn pool() -> &'static Mutex<PoolState> {
@@ -754,15 +542,13 @@ fn mark_broken(cmd: &str, err: &str) {
 }
 
 /// Spawn one worker and complete the `Ready` handshake.
-fn spawn_worker(cmd: &str, spec: &IpcSpec) -> Result<Worker, String> {
+fn spawn_worker(cmd: &str) -> Result<Worker, String> {
     let mut command = Command::new(cmd);
     command
         .arg("--worker")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
-        // The payload encoding is the orchestrator's choice.
-        .env(IPC_ENV, spec.mode.to_string())
         // Campaign-level concerns stay in the orchestrator: a worker
         // must not write checkpoints or telemetry and must never isolate
         // recursively.
@@ -785,7 +571,6 @@ fn spawn_worker(cmd: &str, spec: &IpcSpec) -> Result<Worker, String> {
     let mut stdout = child.stdout.take().expect("piped stdout");
     let stderr = child.stderr.take().expect("piped stderr");
     let (tx, rx) = mpsc::channel();
-    let mode = spec.mode;
     let _ = std::thread::Builder::new().name("goat-worker-reader".into()).spawn(move || loop {
         let payload = match read_payload(&mut stdout) {
             Ok(p) => p,
@@ -800,39 +585,21 @@ fn spawn_worker(cmd: &str, spec: &IpcSpec) -> Result<Worker, String> {
         };
         goat_metrics::global().counter("isolate.ipc_bytes_rx").add(4 + payload.len() as u64);
         let decode_started = Instant::now();
-        let event = match mode {
-            IpcMode::Json => match parse_json_frame(&payload) {
-                Ok(Frame::Ready) => Event::Ready,
-                Ok(Frame::Ack { iter }) => Event::Ack(iter),
-                Ok(Frame::Heartbeat { .. }) => Event::Heartbeat,
-                Ok(Frame::Result { iter, result }) => {
-                    goat_metrics::global()
-                        .histogram("isolate.ipc_deser_ns")
-                        .record(decode_started.elapsed().as_nanos() as u64);
-                    Event::Result { iter, result }
-                }
-                Ok(f @ Frame::Run { .. }) => Event::Unexpected(format!("{f:?}")),
-                Err(e) => {
-                    let _ = tx.send(Event::Corrupt(e.to_string()));
-                    return;
-                }
-            },
-            IpcMode::Bin => match wire::decode_frame(&payload) {
-                Ok(WireFrame::Ready) => Event::Ready,
-                Ok(WireFrame::Ack { iter }) => Event::Ack(iter),
-                Ok(WireFrame::Heartbeat { .. }) => Event::Heartbeat,
-                Ok(WireFrame::Result { iter, result }) => {
-                    goat_metrics::global()
-                        .histogram("isolate.ipc_deser_ns")
-                        .record(decode_started.elapsed().as_nanos() as u64);
-                    Event::Result { iter, result }
-                }
-                Ok(f) => Event::Unexpected(format!("{f:?}")),
-                Err(e) => {
-                    let _ = tx.send(Event::Corrupt(e.to_string()));
-                    return;
-                }
-            },
+        let event = match wire::decode_frame(&payload) {
+            Ok(WireFrame::Ready) => Event::Ready,
+            Ok(WireFrame::Ack { iter }) => Event::Ack(iter),
+            Ok(WireFrame::Heartbeat { .. }) => Event::Heartbeat,
+            Ok(WireFrame::Result { iter, result }) => {
+                goat_metrics::global()
+                    .histogram("isolate.ipc_deser_ns")
+                    .record(decode_started.elapsed().as_nanos() as u64);
+                Event::Result { iter, result }
+            }
+            Ok(f) => Event::Unexpected(format!("{f:?}")),
+            Err(e) => {
+                let _ = tx.send(Event::Corrupt(e.to_string()));
+                return;
+            }
         };
         if tx.send(event).is_err() {
             return;
@@ -852,7 +619,7 @@ fn spawn_worker(cmd: &str, spec: &IpcSpec) -> Result<Worker, String> {
             }
         });
     }
-    match rx.recv_timeout(Duration::from_millis(spawn_grace_ms())) {
+    match rx.recv_timeout(SPAWN_GRACE) {
         Ok(Event::Ready) => {}
         other => {
             let _ = child.kill();
@@ -907,8 +674,8 @@ fn autopsy(
 
 /// Take an idle pooled worker for `cmd`, or spawn a fresh one. `None`
 /// means the command is (now) broken and the caller must fall back.
-fn checkout(cmd: &str, spec: &IpcSpec) -> Option<Worker> {
-    let key = pool_key(cmd, spec);
+fn checkout(cmd: &str) -> Option<Worker> {
+    let key = pool_key(cmd);
     loop {
         let mut st = pool().lock().expect("worker pool lock");
         if st.broken.contains(cmd) {
@@ -916,7 +683,7 @@ fn checkout(cmd: &str, spec: &IpcSpec) -> Option<Worker> {
         }
         let Some(mut worker) = st.idle.get_mut(&key).and_then(Vec::pop) else {
             drop(st);
-            return match spawn_worker(cmd, spec) {
+            return match spawn_worker(cmd) {
                 Ok(w) => Some(w),
                 Err(e) => {
                     mark_broken(cmd, &e);
@@ -950,9 +717,9 @@ fn checkout(cmd: &str, spec: &IpcSpec) -> Option<Worker> {
 }
 
 /// Return a healthy worker to the idle pool.
-fn checkin(cmd: &str, spec: &IpcSpec, worker: Worker) {
+fn checkin(cmd: &str, worker: Worker) {
     let mut st = pool().lock().expect("worker pool lock");
-    st.idle.entry(pool_key(cmd, spec)).or_default().push(worker);
+    st.idle.entry(pool_key(cmd)).or_default().push(worker);
 }
 
 /// Kill and reap every idle pooled worker, returning how many were
@@ -1017,43 +784,33 @@ fn encode_batch(
     worker: &Worker,
     program: &str,
     runs: &[(u64, Config)],
-    spec: &IpcSpec,
 ) -> io::Result<(Vec<u8>, Option<u64>)> {
     let metrics = goat_metrics::global();
     let mut buf = Vec::new();
     let mut held = worker.init_hash;
     for (iter, cfg) in runs {
         let encode_started = Instant::now();
-        match spec.mode {
-            IpcMode::Json => {
-                let frame =
-                    Frame::Run { iter: *iter, program: program.to_string(), cfg: cfg.clone() };
-                buf.extend_from_slice(&encode_frame(&frame)?);
-            }
-            IpcMode::Bin => {
-                let base = canonical_base(cfg);
-                let mut base_bytes = Vec::with_capacity(64);
-                wire::encode_config(&base, &mut base_bytes);
-                let h = init_hash(program, &base_bytes);
-                if held != Some(h) {
-                    held = Some(h);
-                    wire::encode_frame_into(
-                        &WireFrame::Init { program: program.to_string(), base: Box::new(base) },
-                        &mut buf,
-                    )?;
-                }
-                wire::encode_frame_into(
-                    &WireFrame::Run {
-                        iter: *iter,
-                        seed: cfg.seed,
-                        delay_bound: cfg.delay_bound,
-                        yield_prob: cfg.yield_prob,
-                        strategy: cfg.strategy,
-                    },
-                    &mut buf,
-                )?;
-            }
+        let base = canonical_base(cfg);
+        let mut base_bytes = Vec::with_capacity(64);
+        wire::encode_config(&base, &mut base_bytes);
+        let h = init_hash(program, &base_bytes);
+        if held != Some(h) {
+            held = Some(h);
+            wire::encode_frame_into(
+                &WireFrame::Init { program: program.to_string(), base: Box::new(base) },
+                &mut buf,
+            )?;
         }
+        wire::encode_frame_into(
+            &WireFrame::Run {
+                iter: *iter,
+                seed: cfg.seed,
+                delay_bound: cfg.delay_bound,
+                yield_prob: cfg.yield_prob,
+                strategy: cfg.strategy,
+            },
+            &mut buf,
+        )?;
         metrics.histogram("isolate.ipc_ser_ns").record(encode_started.elapsed().as_nanos() as u64);
     }
     Ok((buf, held))
@@ -1074,18 +831,17 @@ pub(crate) fn run_batch(
     cmd: Option<&str>,
     program: &str,
     runs: &[(u64, Config)],
-    spec: &IpcSpec,
 ) -> Option<Vec<RunResult>> {
     let cmd = match cmd {
         Some(c) => c.to_string(),
         None => std::env::current_exe().ok()?.to_str()?.to_string(),
     };
     let metrics = goat_metrics::global();
-    let mut worker = checkout(&cmd, spec)?;
-    let (mut buf, mut held) = match encode_batch(&worker, program, runs, spec) {
+    let mut worker = checkout(&cmd)?;
+    let (mut buf, mut held) = match encode_batch(&worker, program, runs) {
         Ok(v) => v,
         Err(e) => {
-            checkin(&cmd, spec, worker);
+            checkin(&cmd, worker);
             return Some(vec![infra(format!("encode run frame: {e}")); runs.len()]);
         }
     };
@@ -1094,7 +850,7 @@ pub(crate) fn run_batch(
         // A pooled worker can die between checkout and the first write;
         // one fresh respawn distinguishes that from a broken command.
         kill_worker(&mut worker);
-        worker = match spawn_worker(&cmd, spec) {
+        worker = match spawn_worker(&cmd) {
             Ok(w) => w,
             Err(e) => {
                 mark_broken(&cmd, &e);
@@ -1102,10 +858,10 @@ pub(crate) fn run_batch(
             }
         };
         // Fresh worker: re-encode so it gets `Init`.
-        (buf, held) = match encode_batch(&worker, program, runs, spec) {
+        (buf, held) = match encode_batch(&worker, program, runs) {
             Ok(v) => v,
             Err(e) => {
-                checkin(&cmd, spec, worker);
+                checkin(&cmd, worker);
                 return Some(vec![infra(format!("encode run frame: {e}")); runs.len()]);
             }
         };
@@ -1192,20 +948,8 @@ pub(crate) fn run_batch(
             }
         }
     }
-    checkin(&cmd, spec, worker);
+    checkin(&cmd, worker);
     Some(out)
-}
-
-/// Execute one iteration inside a sandboxed worker (a batch of one).
-pub(crate) fn run_in_worker(
-    cmd: Option<&str>,
-    program: &str,
-    iter: u64,
-    cfg: &Config,
-    spec: &IpcSpec,
-) -> Option<RunResult> {
-    let runs = [(iter, cfg.clone())];
-    run_batch(cmd, program, &runs, spec).map(|mut v| v.pop().expect("one result per run"))
 }
 
 #[cfg(test)]
@@ -1227,67 +971,18 @@ mod tests {
     }
 
     #[test]
-    fn ipc_mode_parses_and_displays() {
-        assert_eq!(IpcMode::parse("bin"), Some(IpcMode::Bin));
-        assert_eq!(IpcMode::parse("BINARY"), Some(IpcMode::Bin));
-        assert_eq!(IpcMode::parse(""), Some(IpcMode::Bin));
-        assert_eq!(IpcMode::parse("json"), Some(IpcMode::Json));
-        assert_eq!(IpcMode::parse("xml"), None);
-        assert_eq!(IpcMode::Bin.to_string(), "bin");
-        assert_eq!(IpcMode::Json.to_string(), "json");
-        assert_eq!(IpcMode::default(), IpcMode::Bin);
-    }
-
-    #[test]
-    fn run_frame_roundtrips_through_the_codec() {
-        let cfg = Config::new(42).with_delay_bound(3);
-        let frame = Frame::Run { iter: 7, program: "etcd6708".to_string(), cfg };
-        let bytes = encode_frame(&frame).expect("encode");
-        let back = read_frame(&mut &bytes[..]).expect("decode");
-        match back {
-            Frame::Run { iter, program, cfg } => {
-                assert_eq!(iter, 7);
-                assert_eq!(program, "etcd6708");
-                assert_eq!(cfg.seed, 42);
-                assert_eq!(cfg.delay_bound, 3);
-            }
-            other => panic!("wrong frame: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn result_frame_roundtrips_with_forensics() {
-        let result = synth_result(RunOutcome::Crashed {
-            forensics: CrashForensics {
-                signal: Some(6),
-                exit_code: None,
-                stderr_tail: "abort: boom".to_string(),
-                last_ack_iter: Some(3),
-                summary: "killed by signal 6 (SIGABRT)".to_string(),
-            },
-        });
-        let bytes =
-            encode_frame(&Frame::Result { iter: 3, result: Box::new(result) }).expect("encode");
-        let back = read_frame(&mut &bytes[..]).expect("decode");
-        let Frame::Result { iter, result } = back else { panic!("wrong frame") };
-        assert_eq!(iter, 3);
-        let RunOutcome::Crashed { forensics } = result.outcome else {
-            panic!("wrong outcome: {}", result.outcome)
-        };
-        assert_eq!(forensics.signal, Some(6));
-        assert_eq!(forensics.last_ack_iter, Some(3));
-        assert_eq!(result.fingerprint, goat_trace::tracebuf::FP_SEED);
-        assert!(result.ect.is_none());
-    }
-
-    #[test]
     fn oversized_frame_is_rejected_not_allocated() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
         bytes.extend_from_slice(b"\xde\xad\xbe\xef");
-        let err = read_frame(&mut &bytes[..]).expect_err("must reject");
+        let err = read_payload(&mut &bytes[..]).expect_err("must reject");
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         assert!(err.to_string().contains("exceeds"));
+        // One byte over the cap is rejected too; the cap itself reads.
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
+        let err = read_payload(&mut &bytes[..]).expect_err("must reject");
+        assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
     #[test]
@@ -1303,19 +998,22 @@ mod tests {
     }
 
     #[test]
-    fn frame_cap_is_env_configurable() {
-        // Cannot mutate the environment safely in-process (other tests
-        // read it concurrently); assert the parsing contract instead.
-        assert_eq!(max_frame(), 64 << 20);
-        assert_eq!((env_u64("GOAT_NOT_SET_EVER", 64).clamp(1, 4096) as usize) << 20, 64 << 20);
+    fn frame_cap_is_64_mib() {
+        assert_eq!(MAX_FRAME, 64 << 20);
     }
 
     #[test]
     fn truncated_frame_reads_as_eof() {
-        let full = encode_frame(&Frame::Ready).expect("encode");
-        let err = read_frame(&mut &full[..full.len() - 1]).expect_err("must fail");
+        let mut full = Vec::new();
+        wire::encode_frame_into(&WireFrame::Heartbeat { iter: 300 }, &mut full).expect("encode");
+        let payload = read_payload(&mut &full[..]).expect("whole frame reads");
+        assert!(matches!(wire::decode_frame(&payload), Ok(WireFrame::Heartbeat { iter: 300 })));
+        let err = read_payload(&mut &full[..full.len() - 1]).expect_err("must fail");
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
-        assert!(read_frame(&mut &[][..]).is_err());
+        assert_eq!(
+            read_payload(&mut &[][..]).expect_err("must fail").kind(),
+            ErrorKind::UnexpectedEof
+        );
     }
 
     #[test]
@@ -1323,7 +1021,8 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&4u32.to_le_bytes());
         bytes.extend_from_slice(b"]!{[");
-        let err = read_frame(&mut &bytes[..]).expect_err("must fail");
+        let payload = read_payload(&mut &bytes[..]).expect("framing is intact");
+        let err = wire::decode_frame(&payload).expect_err("must fail");
         assert_eq!(err.kind(), ErrorKind::InvalidData);
     }
 
@@ -1338,20 +1037,17 @@ mod tests {
 
     #[test]
     fn pool_keys_separate_data_planes() {
-        let json = IpcSpec { mode: IpcMode::Json, batch: 1 };
-        let bin = IpcSpec { mode: IpcMode::Bin, batch: 1 };
-        let bin_batch4 = IpcSpec { mode: IpcMode::Bin, batch: 4 };
-        let keys = [pool_key("goat", &json), pool_key("goat", &bin)];
-        assert_ne!(keys[0], keys[1]);
         // The batch window is per write, not per worker: batched and
-        // unbatched campaigns share idle workers.
-        assert_eq!(pool_key("goat", &bin_batch4), keys[1]);
-        // Scoped fault plans split the key further: a worker spawned
-        // under one plan is never handed to a campaign under another.
+        // unbatched campaigns share idle workers, so the key is the
+        // command and the fault plan only.
+        let plain = pool_key("goat");
+        assert_ne!(pool_key("other-goat"), plain);
+        // Scoped fault plans split the key: a worker spawned under one
+        // plan is never handed to a campaign under another.
         let g = faultpoint::scoped("worker:garbage-frame");
-        assert_ne!(pool_key("goat", &bin), keys[1]);
+        assert_ne!(pool_key("goat"), plain);
         drop(g);
-        assert_eq!(pool_key("goat", &bin), keys[1]);
+        assert_eq!(pool_key("goat"), plain);
     }
 
     #[test]

@@ -192,11 +192,10 @@ pub struct GoatConfig {
     /// environment variable; `None` falls back to the current
     /// executable.
     pub worker_cmd: Option<String>,
-    /// IPC payload encoding on the worker wire (see
-    /// [`crate::isolate::IpcMode`]): compact binary frames by default,
-    /// JSON as the debug/compat path. Defaults to the `GOAT_IPC`
-    /// environment variable. Results are byte-identical either way.
-    pub ipc: crate::isolate::IpcMode,
+    /// No effect: the worker wire has one codec, the binary frames of
+    /// [`crate::wire`], and this always displays `bin`. Kept only
+    /// because the benchmark crate prints it.
+    pub ipc: &'static str,
     /// `Run` frames sent to a worker per pipe write. Batching amortizes
     /// write/wake costs; the effective batch is capped at the guided
     /// bandit's feedback lag so guided campaigns stay byte-identical
@@ -247,7 +246,7 @@ impl Default for GoatConfig {
             worker_cmd: std::env::var(crate::isolate::WORKER_CMD_ENV)
                 .ok()
                 .filter(|v| !v.is_empty()),
-            ipc: crate::isolate::IpcMode::from_env(),
+            ipc: "bin",
             ipc_batch: std::env::var(crate::isolate::IPC_BATCH_ENV)
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
@@ -381,12 +380,6 @@ impl GoatConfig {
         self
     }
 
-    /// Set the IPC payload encoding (overrides `GOAT_IPC`).
-    pub fn with_ipc(mut self, mode: crate::isolate::IpcMode) -> Self {
-        self.ipc = mode;
-        self
-    }
-
     /// Set the worker run-batching window (overrides `GOAT_IPC_BATCH`).
     pub fn with_ipc_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "IPC batch must be at least 1");
@@ -409,11 +402,6 @@ impl GoatConfig {
         } else {
             batch
         }
-    }
-
-    /// The resolved IPC data-plane settings for this campaign.
-    pub(crate) fn ipc_spec(&self) -> crate::isolate::IpcSpec {
-        crate::isolate::IpcSpec { mode: self.ipc, batch: self.effective_batch() }
     }
 
     /// Runtime config for iteration `iter`; a guided campaign overlays
@@ -1252,6 +1240,18 @@ impl Goat {
         scan_sources(sources.iter()).unwrap_or_default()
     }
 
+    /// Re-execute `program` forcing a previously recorded schedule and
+    /// re-analyse the run — deterministic bug reproduction from a
+    /// [`CampaignResult::bug_schedule`].
+    pub fn replay(
+        program: Arc<dyn Program>,
+        schedule: goat_runtime::ReplayLog,
+    ) -> (GoatVerdict, goat_runtime::RunResult) {
+        let cfg = Config::new(0).with_trace(true).with_replay(schedule);
+        let result = Runtime::run(cfg, Self::instrumented(program));
+        (analyze_run(&result), result)
+    }
+
     /// Wrap a program with the paper's `goat.Start`/`goat.Watch`/
     /// `goat.Stop` protocol: an *internal* watcher goroutine accompanies
     /// the instrumented main and is signalled when it returns. The
@@ -1317,14 +1317,11 @@ impl Goat {
     fn run_one(&self, i: usize, program: &Arc<dyn Program>, arm: Option<&Arm>) -> RunResult {
         let cfg = self.cfg.runtime_config(i, arm);
         if self.cfg.isolate == crate::isolate::IsolateMode::Proc {
-            if let Some(result) = crate::isolate::run_in_worker(
-                self.cfg.worker_cmd.as_deref(),
-                program.name(),
-                (i + 1) as u64,
-                &cfg,
-                &self.cfg.ipc_spec(),
-            ) {
-                return result;
+            let runs = [((i + 1) as u64, cfg.clone())];
+            if let Some(mut results) =
+                crate::isolate::run_batch(self.cfg.worker_cmd.as_deref(), program.name(), &runs)
+            {
+                return results.pop().expect("one result per run");
             }
         }
         Runtime::run(cfg, Self::instrumented(Arc::clone(program)))
@@ -1407,12 +1404,9 @@ impl Goat {
                     ((lo + k + 1) as u64, self.cfg.runtime_config(lo + k, arm.as_ref()))
                 })
                 .collect();
-            if let Some(results) = crate::isolate::run_batch(
-                self.cfg.worker_cmd.as_deref(),
-                program.name(),
-                &runs,
-                &self.cfg.ipc_spec(),
-            ) {
+            if let Some(results) =
+                crate::isolate::run_batch(self.cfg.worker_cmd.as_deref(), program.name(), &runs)
+            {
                 return results
                     .into_iter()
                     .enumerate()
@@ -1486,18 +1480,6 @@ impl Goat {
         });
         goat_metrics::flush();
         result
-    }
-
-    /// Re-execute `program` forcing a previously recorded schedule and
-    /// re-analyse the run — deterministic bug reproduction from a
-    /// [`CampaignResult::bug_schedule`].
-    pub fn replay(
-        program: Arc<dyn Program>,
-        schedule: goat_runtime::ReplayLog,
-    ) -> (GoatVerdict, goat_runtime::RunResult) {
-        let cfg = Config::new(0).with_trace(true).with_replay(schedule);
-        let result = Runtime::run(cfg, Self::instrumented(program));
-        (analyze_run(&result), result)
     }
 }
 

@@ -1,15 +1,8 @@
-//! Binary frame codec for the process-isolation data plane
-//! (`GOAT_IPC=bin`).
+//! Binary frame codec of the process-isolation worker wire — the only
+//! payload encoding [`crate::isolate`] speaks.
 //!
-//! The JSON protocol of [`crate::isolate`] re-serializes the full
-//! [`Config`] into every `Run` frame and renders whole result traces as
-//! JSON text; at campaign scale that per-run cost dominates short
-//! iterations. This module defines the compact alternative:
-//!
-//! * framing is unchanged — `[u32 LE payload length][payload]` — so the
-//!   corrupt/oversized-stream handling and the garbage-frame fault
-//!   profile behave identically in both modes; only the payload bytes
-//!   differ (`[u8 frame tag][varint fields…]` instead of JSON);
+//! * framing is `[u32 LE payload length][payload]`, and a payload is
+//!   `[u8 frame tag][varint fields…]`;
 //! * an `Init` frame carries the campaign-constant [`Config`] base
 //!   **once per worker checkout**, so every `Run` frame is a handful of
 //!   bytes: the iteration, plus exactly the per-run delta the campaign
@@ -18,10 +11,10 @@
 //!   codec of [`goat_trace::wire`].
 //!
 //! Every codec here is lossless and total: `decode(encode(x)) == x`
-//! for arbitrary values (differential proptests against the JSON path
-//! live in `tests/ipc_wire.rs`), and decoding arbitrary bytes returns
-//! [`std::io::ErrorKind::InvalidData`] rather than panicking, because
-//! the bytes cross a process boundary.
+//! for arbitrary values (differential tests, including real in-process
+//! kernel runs, live in `tests/ipc_wire.rs`), and decoding arbitrary
+//! bytes returns [`std::io::ErrorKind::InvalidData`] rather than
+//! panicking, because the bytes cross a process boundary.
 
 use goat_runtime::{
     AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult,
@@ -37,9 +30,8 @@ fn err(msg: impl std::fmt::Display) -> io::Error {
 
 /// One message on the binary worker wire.
 ///
-/// `Ready`/`Ack`/`Heartbeat`/`Result` mirror their JSON counterparts;
-/// `Init`/`Run` split the JSON `Run{cfg}` frame into a per-checkout
-/// base and a per-run delta.
+/// `Init`/`Run` split a run's [`Config`] into a per-checkout base and a
+/// per-run delta.
 #[derive(Debug, Clone)]
 pub enum WireFrame {
     /// Worker → orchestrator: startup handshake (after the rlimit jail).
@@ -584,7 +576,7 @@ mod tests {
         )
         .unwrap();
         // The whole point of Init/Run splitting: a Run frame is tens of
-        // bytes, not a JSON-rendered Config.
+        // bytes, not a whole Config.
         assert!(buf.len() < 32, "run frame is {} bytes", buf.len());
     }
 
@@ -613,8 +605,7 @@ mod tests {
         };
         let frame = WireFrame::Init { program: "etcd6708".into(), base: Box::new(base.clone()) };
         let WireFrame::Init { base: back, .. } = roundtrip(&frame) else { panic!("wrong frame") };
-        // Config has no PartialEq; compare through the JSON codec.
-        assert_eq!(serde_json::to_string(&*back).unwrap(), serde_json::to_string(&base).unwrap());
+        assert_eq!(*back, base);
     }
 
     #[test]
@@ -662,10 +653,7 @@ mod tests {
                 panic!("wrong frame")
             };
             assert_eq!(iter, 12);
-            assert_eq!(
-                serde_json::to_string(&*back).unwrap(),
-                serde_json::to_string(&result).unwrap()
-            );
+            assert_eq!(*back, result);
         }
     }
 

@@ -304,25 +304,6 @@ impl CuTable {
     pub fn count_kind(&self, kind: CuKind) -> usize {
         self.entries.iter().filter(|c| c.kind == kind).count()
     }
-
-    /// Serialize the model to JSON (the on-disk form of `M`).
-    ///
-    /// # Errors
-    /// Propagates `serde_json` failures (not expected for valid tables).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Load a model from JSON produced by [`CuTable::to_json`],
-    /// rebuilding the lookup index.
-    ///
-    /// # Errors
-    /// Returns the underlying `serde_json` error for malformed input.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        let mut table: CuTable = serde_json::from_str(s)?;
-        table.reindex();
-        Ok(table)
-    }
 }
 
 impl FromIterator<Cu> for CuTable {
@@ -401,17 +382,6 @@ mod tests {
         assert!(t.lookup("x.rs", 1, CuKind::Go).is_none());
         t.reindex();
         assert!(t.lookup("x.rs", 1, CuKind::Go).is_some());
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_lookup() {
-        let t =
-            CuTable::from_cus([Cu::new("a.rs", 1, CuKind::Send), Cu::new("b.rs", 2, CuKind::Lock)]);
-        let json = t.to_json().unwrap();
-        let back = CuTable::from_json(&json).unwrap();
-        assert_eq!(back.len(), 2);
-        assert!(back.lookup("a.rs", 1, CuKind::Send).is_some(), "index rebuilt");
-        assert!(back.lookup("b.rs", 2, CuKind::Lock).is_some());
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl ReplayLog {
 }
 
 /// The scheduling policy driving nondeterministic choices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum SchedPolicy {
     /// Go-like native scheduling: FIFO global run queue with
     /// probability-ε preemption noise (the default; §III-A).
@@ -70,7 +70,7 @@ pub enum SchedPolicy {
 /// let cfg = Config::new(42).with_delay_bound(3).with_trace(true);
 /// assert_eq!(cfg.delay_bound, 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// RNG seed; equal seeds give identical executions.
     pub seed: u64,
@@ -382,7 +382,7 @@ impl SchedCounters {
 }
 
 /// Information about a goroutine still alive when the run ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AliveGoroutine {
     /// The goroutine.
     pub g: Gid,
@@ -396,7 +396,7 @@ pub struct AliveGoroutine {
 }
 
 /// The result of one execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult {
     /// How the run ended.
     pub outcome: RunOutcome,

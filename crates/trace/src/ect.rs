@@ -142,23 +142,6 @@ impl Ect {
             .find(|e| matches!(&e.kind, EventKind::GoCreate { new_g, .. } if *new_g == g))
     }
 
-    /// Serialize the trace to a JSON string.
-    ///
-    /// # Errors
-    /// Returns the underlying `serde_json` error on failure (should not
-    /// happen for well-formed traces).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Parse a trace from JSON produced by [`Ect::to_json`].
-    ///
-    /// # Errors
-    /// Returns the underlying `serde_json` error for malformed input.
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
     /// Check structural invariants of the trace:
     ///
     /// 1. sequence numbers are dense and increasing;
@@ -391,11 +374,12 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
+    fn serde_roundtrip() {
+        // Checkpoints persist the bug trace through serde.
         let ect: Ect =
             vec![ev(0, 1, EventKind::GoStart), ev(1, 1, EventKind::GoEnd)].into_iter().collect();
-        let json = ect.to_json().unwrap();
-        assert_eq!(Ect::from_json(&json).unwrap(), ect);
+        let json = serde_json::to_string(&ect).unwrap();
+        assert_eq!(serde_json::from_str::<Ect>(&json).unwrap(), ect);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Compact little-endian binary codec for trace events.
 //!
-//! The process-isolation data plane (`GOAT_ISOLATE=proc` with
-//! `GOAT_IPC=bin`) ships whole execution concurrency traces across the
-//! worker pipe on every iteration; JSON-encoding a million-event trace
-//! costs more than executing it. This module provides the wire
+//! The process-isolation data plane (`GOAT_ISOLATE=proc`) ships whole
+//! execution concurrency traces across the worker pipe on every
+//! iteration, so the encoding must cost far less than executing the
+//! run that recorded them. This module provides the wire
 //! primitives (LEB128 varints, zigzag signed varints, length-prefixed
 //! strings) and a delta codec for event sequences:
 //!
@@ -16,8 +16,8 @@
 //! * every event kind is a one-byte tag followed by its varint payload.
 //!
 //! The codec is lossless: `decode_events(encode_events(evs)) == evs`
-//! for arbitrary event buffers (proven by differential proptests
-//! against the JSON path in `tests/ipc_wire.rs`), and the decode side
+//! for arbitrary event buffers (proven by the round-trip proptests in
+//! `tests/ipc_wire.rs`), and the decode side
 //! draws its event vector from the [`crate::recycle`] trace-buffer
 //! pool so round-tripped traces participate in buffer recycling like
 //! natively recorded ones.

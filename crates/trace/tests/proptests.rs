@@ -146,8 +146,8 @@ proptest! {
     #[test]
     fn json_roundtrip_preserves_traces(actions in prop::collection::vec(action_strategy(), 0..40)) {
         let (ect, _, _) = build_trace(&actions);
-        let json = ect.to_json().expect("serialize");
-        let back = Ect::from_json(&json).expect("parse");
+        let json = serde_json::to_string(&ect).expect("serialize");
+        let back: Ect = serde_json::from_str(&json).expect("parse");
         prop_assert_eq!(back, ect);
     }
 

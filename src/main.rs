@@ -35,15 +35,12 @@ struct Cli {
     strategy: Option<goat::runtime::StrategyKind>,
     guided: Option<bool>,
     saturation_window: Option<usize>,
-    // Hot-path knobs: the flag seeds the matching `GOAT_*` variable
-    // only when the environment leaves it unset, so an operator's env
-    // always wins over a script's flag.
+    // Hot-path knob: the flag seeds `GOAT_MEMO` only when the
+    // environment leaves it unset, so an operator's env always wins
+    // over a script's flag.
     memo: Option<String>,
-    trace_pool_max: Option<usize>,
-    // Process isolation (flags win over GOAT_ISOLATE / GOAT_IPC /
-    // GOAT_IPC_BATCH).
+    // Process isolation (flags win over GOAT_ISOLATE / GOAT_IPC_BATCH).
     isolate: Option<goat::core::IsolateMode>,
-    ipc: Option<goat::core::IpcMode>,
     ipc_batch: Option<usize>,
     // Executor knobs (flags win over GOAT_JOBS / GOAT_SUITE_REALLOC):
     // `-jobs` sizes a lone campaign and `-target all` alike; `-realloc`
@@ -76,9 +73,7 @@ fn parse_args() -> Result<Cli, String> {
         guided: None,
         saturation_window: None,
         memo: None,
-        trace_pool_max: None,
         isolate: None,
-        ipc: None,
         ipc_batch: None,
         jobs: None,
         realloc: None,
@@ -135,21 +130,11 @@ fn parse_args() -> Result<Cli, String> {
                     other => return Err(format!("-memo: expected off|on|verify, got {other}")),
                 }
             }
-            "-trace-pool-max" | "--trace-pool-max" => {
-                cli.trace_pool_max = Some(num("-trace-pool-max", take("-trace-pool-max")?)?)
-            }
             "-isolate" | "--isolate" => {
                 let v = take("-isolate")?;
                 cli.isolate = Some(
                     goat::core::IsolateMode::parse(&v)
                         .ok_or_else(|| format!("-isolate: expected off|proc, got {v}"))?,
-                );
-            }
-            "-ipc" | "--ipc" => {
-                let v = take("-ipc")?;
-                cli.ipc = Some(
-                    goat::core::IpcMode::parse(&v)
-                        .ok_or_else(|| format!("-ipc: expected bin|json, got {v}"))?,
                 );
             }
             "-jobs" | "--jobs" => {
@@ -177,14 +162,11 @@ fn parse_args() -> Result<Cli, String> {
     if cli.target.is_empty() {
         return Err("missing -target (use '-target list' to enumerate kernels)".into());
     }
-    // Seed the env-first hot-path knobs before anything reads (and
-    // caches) them: the analysis memo mode and the trace-buffer pool
-    // cap are process-wide defaults resolved from GOAT_* on first use.
+    // Seed the env-first memo knob before anything reads (and caches)
+    // it: the analysis memo mode is a process-wide default resolved
+    // from GOAT_MEMO on first use.
     if let Some(m) = &cli.memo {
         env_default("GOAT_MEMO", m);
-    }
-    if let Some(n) = cli.trace_pool_max {
-        env_default("GOAT_TRACE_POOL_MAX", &n.to_string());
     }
     Ok(cli)
 }
@@ -225,9 +207,6 @@ fn campaign_config(cli: &Cli) -> GoatConfig {
     }
     if let Some(m) = cli.isolate {
         cfg = cfg.with_isolate(m);
-    }
-    if let Some(m) = cli.ipc {
-        cfg = cfg.with_ipc(m);
     }
     if let Some(n) = cli.ipc_batch {
         cfg = cfg.with_ipc_batch(n);
@@ -270,17 +249,13 @@ fn print_help() {
          \x20                           configurations (GOAT_GUIDED)\n\
          \x20 -saturation-window <int>  stop after N consecutive iterations with no new\n\
          \x20                           coverage (GOAT_SATURATION_WINDOW)\n\n\
-         execution hot path (flags seed the GOAT_* env knob; env remains the override):\n\
+         execution hot path (the flag seeds the GOAT_* env knob; env remains the override):\n\
          \x20 -memo <off|on|verify>     duplicate-schedule analysis memoization; verify\n\
-         \x20                           re-analyzes hits and asserts equality (GOAT_MEMO)\n\
-         \x20 -trace-pool-max <int>     recycled trace buffers kept per process\n\
-         \x20                           (GOAT_TRACE_POOL_MAX, default 32)\n\n\
+         \x20                           re-analyzes hits and asserts equality (GOAT_MEMO)\n\n\
          process isolation (flags override the matching GOAT_* env knobs):\n\
          \x20 -isolate <off|proc>       run each iteration in a sandboxed worker\n\
          \x20                           subprocess with crash forensics and rlimit\n\
          \x20                           jails (GOAT_ISOLATE; default off)\n\
-         \x20 -ipc <bin|json>           worker wire encoding: compact binary frames or\n\
-         \x20                           self-describing JSON (GOAT_IPC; default bin)\n\
          \x20 -ipc-batch <int>          Run frames per pipe write; capped at the guided\n\
          \x20                           feedback lag (GOAT_IPC_BATCH; default 1)\n\n\
          parallel execution (flags override the matching GOAT_* env knobs):\n\

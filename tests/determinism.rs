@@ -409,12 +409,10 @@ fn sigkilled_isolated_campaign_resumes_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
-// IPC data-plane equivalence: the frame codec (`GOAT_IPC`) and run
-// batching (`GOAT_IPC_BATCH`) are transport choices — campaign reports
-// must be byte-identical whichever of them carries the runs.
+// IPC data-plane equivalence: run batching (`GOAT_IPC_BATCH`) is a
+// transport choice — campaign reports must be byte-identical however
+// many runs share a pipe write.
 // ---------------------------------------------------------------------
-
-use goat::core::IpcMode;
 
 fn ipc_summary_json(
     kernel: &'static goat::goker::BugKernel,
@@ -422,7 +420,6 @@ fn ipc_summary_json(
     seed0: u64,
     iterations: usize,
     stop_on_bug: bool,
-    ipc: IpcMode,
     batch: usize,
 ) -> String {
     let _plan = no_plan();
@@ -432,7 +429,6 @@ fn ipc_summary_json(
         .with_seed0(seed0)
         .with_isolate(IsolateMode::Proc)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"))
-        .with_ipc(ipc)
         .with_ipc_batch(batch);
     if !stop_on_bug {
         cfg = cfg.keep_running();
@@ -451,12 +447,8 @@ fn campaign_summaries_identical_across_ipc_modes() {
         let kernel = goat::goker::by_name(name).expect("kernel");
         let off =
             isolated_summary_json(kernel, d, seed0, iterations, stop_on_bug, IsolateMode::Off);
-        for (leg, ipc, batch) in [
-            ("proc+json", IpcMode::Json, 1usize),
-            ("proc+bin", IpcMode::Bin, 1),
-            ("proc+bin+batch4", IpcMode::Bin, 4),
-        ] {
-            let got = ipc_summary_json(kernel, d, seed0, iterations, stop_on_bug, ipc, batch);
+        for (leg, batch) in [("proc", 1usize), ("proc+batch4", 4)] {
+            let got = ipc_summary_json(kernel, d, seed0, iterations, stop_on_bug, batch);
             assert_eq!(
                 off, got,
                 "{name}/{leg}: campaign report must be byte-identical across IPC modes"
@@ -481,7 +473,6 @@ fn binary_garbage_frames_degrade_to_retried_infra_failures() {
         .with_seed0(3)
         .keep_running()
         .with_isolate(IsolateMode::Proc)
-        .with_ipc(IpcMode::Bin)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"))
         .with_max_retries(1)
         .with_quarantine_after(2);
@@ -551,6 +542,34 @@ fn suite_stdout_identical_across_jobs_and_isolation() {
                 "suite stdout diverged at -jobs {jobs} (GOAT_ISOLATE={isolate})"
             );
         }
+    }
+}
+
+// The suite executor's seams (claim, emit, finalize) are where worker
+// timing could leak into output. Delaying every one of them at -jobs 4
+// reorders which worker claims and merges what; stdout must still match
+// the undelayed sequential suite byte for byte, in both isolation modes.
+#[test]
+fn suite_stdout_identical_under_seam_delays() {
+    let args = ["-target", "all", "-d", "1", "-freq", "2"];
+    for isolate in ["off", "proc"] {
+        let baseline =
+            suite_stdout(goat_cmd().args(args).args(["-jobs", "1"]).env("GOAT_ISOLATE", isolate));
+        assert!(
+            baseline.contains("/68 at D=1 within 2 iterations"),
+            "suite footer missing ({isolate}): {baseline:?}"
+        );
+        let delayed = suite_stdout(
+            goat_cmd()
+                .args(args)
+                .args(["-jobs", "4"])
+                .env("GOAT_ISOLATE", isolate)
+                .env("GOAT_FAULT", "suite_claim:delay:1,suite_emit:delay:1,suite_finalize:delay:1"),
+        );
+        assert_eq!(
+            baseline, delayed,
+            "suite stdout diverged under seam delays at -jobs 4 (GOAT_ISOLATE={isolate})"
+        );
     }
 }
 
@@ -632,7 +651,6 @@ fn pooled_workers_reinit_when_the_base_config_changes() {
         .with_seed0(11)
         .keep_running()
         .with_isolate(IsolateMode::Proc)
-        .with_ipc(IpcMode::Bin)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
     let _ = {
         let _plan = no_plan();
@@ -651,7 +669,6 @@ fn pooled_workers_reinit_when_the_base_config_changes() {
             .with_seed0(11)
             .keep_running()
             .with_isolate(isolate)
-            .with_ipc(IpcMode::Bin)
             .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
         cfg.max_steps = 8;
         Goat::new(cfg)

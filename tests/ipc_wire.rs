@@ -1,19 +1,22 @@
-//! Differential properties of the binary IPC data plane (`GOAT_IPC=bin`).
+//! Differential properties of the binary IPC data plane: the only codec
+//! a process-isolation worker speaks.
 //!
-//! The binary codec in `goat::core::wire` / `goat::trace::wire` must be a
-//! drop-in replacement for the JSON path: anything the JSON wire can carry,
-//! the binary wire must carry losslessly. These tests synthesize arbitrary
-//! well-formed trace buffers and `RunResult`s covering every `RunOutcome`
-//! variant (including `Crashed { CrashForensics }` and `TimedOut`) and
-//! assert the binary round-trip is indistinguishable from the original
-//! under the JSON serializer — the exact equivalence the byte-identity
-//! guarantee of process isolation rests on.
+//! The binary codec in `goat::core::wire` / `goat::trace::wire` must
+//! carry a `RunResult` losslessly: what the orchestrator decodes must
+//! equal what the worker's in-process run produced. These tests
+//! synthesize arbitrary well-formed trace buffers and `RunResult`s
+//! covering every `RunOutcome` variant (including
+//! `Crashed { CrashForensics }` and `TimedOut`), round-trip real GoKer
+//! runs executed in-process, and assert `decode(encode(r)) == r` — the
+//! exact equivalence the byte-identity guarantee of process isolation
+//! rests on.
 
 use goat::core::wire::{self, WireFrame};
+use goat::core::Program;
 use goat::model::{Cu, CuKind};
 use goat::runtime::{
-    AliveGoroutine, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters,
-    TimeoutPhase,
+    faultpoint, AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult,
+    Runtime, SchedCounters, TimeoutPhase,
 };
 use goat::trace::wire::{decode_events, encode_events, Reader};
 use goat::trace::{BlockReason, Ect, Event, EventKind, Gid, RId, SelCaseFlavor, VTime};
@@ -235,10 +238,9 @@ proptest! {
     }
 
     /// Result-level differential: the binary round-trip of a `RunResult`
-    /// is indistinguishable from the original under the JSON serializer —
-    /// the JSON path and the binary path carry identical information.
+    /// equals the original and consumes its payload exactly.
     #[test]
-    fn run_results_agree_with_the_json_path(
+    fn run_results_roundtrip_through_the_binary_codec(
         specs in prop::collection::vec(ev_spec(), 0..40),
         outcome in (any::<u8>(), any::<u64>(), any::<u64>(), any::<bool>()),
         a in any::<u64>(),
@@ -246,16 +248,7 @@ proptest! {
         flag in any::<bool>(),
     ) {
         let result = build_result(build_outcome(&outcome), build_events(&specs), a, b, flag);
-        let json_before = serde_json::to_string(&result).expect("serialize original");
-
-        let mut buf = Vec::new();
-        wire::encode_result(&result, &mut buf);
-        let mut r = Reader::new(&buf);
-        let back = wire::decode_result(&mut r).expect("decode well-formed result");
-        prop_assert!(r.is_empty(), "codec left {} unread bytes", r.remaining());
-
-        let json_after = serde_json::to_string(&back).expect("serialize round-trip");
-        prop_assert_eq!(json_after, json_before);
+        prop_assert_eq!(roundtrip(&result), result);
     }
 
     /// Frame-level differential: a `Result` frame survives the full
@@ -269,9 +262,7 @@ proptest! {
         b in any::<u64>(),
     ) {
         let result = build_result(build_outcome(&outcome), build_events(&specs), a, b, false);
-        let json_before = serde_json::to_string(&result).expect("serialize original");
-
-        let frame = WireFrame::Result { iter, result: Box::new(result) };
+        let frame = WireFrame::Result { iter, result: Box::new(result.clone()) };
         let mut framed = Vec::new();
         wire::encode_frame_into(&frame, &mut framed).expect("encode frame");
         // `[u32 LE len][payload]`: the length prefix must match exactly.
@@ -281,8 +272,7 @@ proptest! {
         match wire::decode_frame(&framed[4..]).expect("decode frame") {
             WireFrame::Result { iter: got_iter, result: got } => {
                 prop_assert_eq!(got_iter, iter);
-                let json_after = serde_json::to_string(&*got).expect("serialize round-trip");
-                prop_assert_eq!(json_after, json_before);
+                prop_assert_eq!(*got, result);
             }
             other => prop_assert!(false, "decoded wrong frame: {other:?}"),
         }
@@ -299,13 +289,72 @@ fn truncated_result_payloads_error_out_cleanly() {
     let result = build_result(build_outcome(&(6, 11, 42, true)), build_events(&specs), 5, 9, true);
     let mut buf = Vec::new();
     wire::encode_result(&result, &mut buf);
-    let json_full = serde_json::to_string(&result).expect("serialize");
     for cut in 0..buf.len() {
         let mut r = Reader::new(&buf[..cut]);
         if let Ok(back) = wire::decode_result(&mut r) {
             // A prefix may only decode successfully if trailing bytes were
             // pure padding — it must still be the same value.
-            assert_eq!(serde_json::to_string(&back).expect("serialize"), json_full);
+            assert_eq!(back, result);
         }
+    }
+}
+
+/// Encode `result` with the worker's codec and decode it the way the
+/// orchestrator does, asserting the payload is consumed exactly.
+fn roundtrip(result: &RunResult) -> RunResult {
+    let mut buf = Vec::new();
+    wire::encode_result(result, &mut buf);
+    let mut r = Reader::new(&buf);
+    let back = wire::decode_result(&mut r).expect("decode well-formed result");
+    assert!(r.is_empty(), "codec left {} unread bytes", r.remaining());
+    back
+}
+
+fn run_kernel(kernel: &'static goat::goker::BugKernel, seed: u64) -> RunResult {
+    let cfg = Config::new(seed).with_delay_bound(2).with_trace(true);
+    Runtime::run(cfg, move || Program::main(kernel))
+}
+
+/// Real runs, executed in-process exactly as a worker executes them:
+/// every GoKer kernel over several seeds (so deadlocking and completing
+/// runs with full traces are both covered), then the `iter:panic` fault
+/// path. Each result must survive the binary round trip unchanged
+/// (`assert!` rather than `assert_eq!`: a mismatch would dump whole
+/// traces).
+#[test]
+fn in_process_kernel_runs_roundtrip_through_the_binary_codec() {
+    {
+        let _plan = faultpoint::scoped("");
+        let (mut deadlocked, mut completed) = (0usize, 0usize);
+        for kernel in goat::goker::all_kernels() {
+            for seed in 1..=4u64 {
+                let result = run_kernel(kernel, seed);
+                assert!(result.ect.is_some(), "{} seed {seed}: run has no ECT", kernel.name);
+                match result.outcome {
+                    RunOutcome::GlobalDeadlock { .. } => deadlocked += 1,
+                    RunOutcome::Completed => completed += 1,
+                    _ => {}
+                }
+                assert!(
+                    roundtrip(&result) == result,
+                    "{} seed {seed}: round trip differs",
+                    kernel.name
+                );
+            }
+        }
+        assert!(deadlocked > 0, "no kernel run deadlocked; the deadlock path went unchecked");
+        assert!(completed > 0, "no kernel run completed; the completion path went unchecked");
+    }
+
+    let _plan = faultpoint::scoped("iter:panic");
+    let kernel = goat::goker::by_name("etcd6708").expect("kernel");
+    for seed in 1..=4u64 {
+        let result = run_kernel(kernel, seed);
+        assert!(
+            matches!(result.outcome, RunOutcome::Panicked { .. }),
+            "iter:panic seed {seed}: got {}",
+            result.outcome
+        );
+        assert!(roundtrip(&result) == result, "iter:panic seed {seed}: round trip differs");
     }
 }
