@@ -450,7 +450,7 @@ pub fn serve_worker(resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>) -> i32 {
                 cfg.strategy = strategy;
                 let result = match resolve(program) {
                     Some(p) => {
-                        goat_runtime::Runtime::run(cfg, crate::runner::Goat::instrumented(p))
+                        goat_runtime::Runtime::run_here(cfg, crate::runner::Goat::instrumented(p))
                     }
                     None => infra(format!("worker: unknown program {program:?}")),
                 };

@@ -14,7 +14,7 @@ use goat_metrics::{Histogram, HistogramSnapshot};
 use goat_model::{scan_sources, CoverageSet, CuTable, RequirementUniverse};
 use goat_runtime::pool::PoolStats;
 use goat_runtime::{
-    go_internal, Chan, Config, RunOutcome, RunResult, Runtime, SchedCounters, StrategyKind,
+    go_internal_at, Chan, Config, RunOutcome, RunResult, Runtime, SchedCounters, StrategyKind,
 };
 use goat_trace::{Ect, GTree, TracePoolStats};
 use std::collections::HashMap;
@@ -1248,7 +1248,7 @@ impl Goat {
         schedule: goat_runtime::ReplayLog,
     ) -> (GoatVerdict, goat_runtime::RunResult) {
         let cfg = Config::new(0).with_trace(true).with_replay(schedule);
-        let result = Runtime::run(cfg, Self::instrumented(program));
+        let result = Runtime::run_here(cfg, Self::instrumented(program));
         (analyze_run(&result), result)
     }
 
@@ -1257,12 +1257,14 @@ impl Goat {
     /// the instrumented main and is signalled when it returns. The
     /// watcher is excluded from application-level analysis (§III-E), so
     /// this also exercises the runtime-goroutine filter on every run.
+    /// Both tool goroutines report the pseudo-locations `goat:watcher`
+    /// and `goat:stopper`, never a line of this file.
     pub(crate) fn instrumented(program: Arc<dyn Program>) -> impl FnOnce() + Send + 'static {
         move || {
             let goat_done: Chan<()> = Chan::new(1);
             {
                 let goat_done = goat_done.clone();
-                go_internal("goat::watcher", move || {
+                go_internal_at("goat::watcher", "goat:watcher", move || {
                     // Waits for main's completion signal; if main never
                     // finishes, this internal goroutine parks forever and
                     // is filtered out of the goroutine tree.
@@ -1273,7 +1275,7 @@ impl Goat {
             // defer goat.Stop(goat_done): the signal itself runs on an
             // internal goroutine so the tool's own channel operations
             // never enter the program's coverage universe.
-            go_internal("goat::stopper", move || {
+            go_internal_at("goat::stopper", "goat:stopper", move || {
                 goat_done.send(());
             });
         }
@@ -1324,7 +1326,7 @@ impl Goat {
                 return results.pop().expect("one result per run");
             }
         }
-        Runtime::run(cfg, Self::instrumented(Arc::clone(program)))
+        Runtime::run_here(cfg, Self::instrumented(Arc::clone(program)))
     }
 
     /// One supervised iteration: run it, and when the *infrastructure*

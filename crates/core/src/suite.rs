@@ -38,8 +38,10 @@
 //!   reallocated suites are also byte-identical across `jobs`. A
 //!   recipient's extended campaign equals a standalone campaign that
 //!   had `base + grant` iterations from the start.
-//! * **Warm shared resources** — the run-host thread pool and
-//!   the trace-buffer pool are process-wide and stay warm by nature;
+//! * **Warm shared resources** — each worker hosts its runs itself
+//!   (with a watchdog they go to the process-wide run-host pool, which
+//!   is then prewarmed), and the trace-buffer pool is process-wide and
+//!   stays warm by nature;
 //!   the executor additionally recycles the per-campaign analysis
 //!   scratch ([`EctBuffers`]) from finished kernels into later ones
 //!   (scratch contents never affect results — it is cleared per pass)
@@ -929,9 +931,12 @@ pub fn run_suite(
     }
     let reg = goat_metrics::global();
     let isolate_reused_before = reg.counter("isolate.workers_reused").get();
-    // Pre-spawn parked goroutine-pool workers so the first claims of a
-    // cold process do not all pay thread-creation cost.
-    goat_runtime::pool::prewarm(jobs);
+    // Runs are hosted by the workers themselves unless a watchdog sends
+    // them to the run-host pool; only then pre-spawn parked hosts, so
+    // the first claims of a cold process do not all pay thread creation.
+    if base.iter_timeout_ms.is_some() {
+        goat_runtime::pool::prewarm(jobs);
+    }
 
     let names: Vec<String> = kernels.iter().map(|p| p.name().to_string()).collect();
     let fingerprint = suite_fingerprint(base, &names, suite.realloc);

@@ -167,6 +167,29 @@ impl Cu {
         Cu { file: Istr::new(file), line, kind }
     }
 
+    /// A CU at a fixed pseudo-location such as `goat:watcher`: a site of
+    /// the tool itself rather than a source line of the program under
+    /// test. It carries line 0, which no source location has, and
+    /// renders as the bare site name, so tool-internal sites never print
+    /// the tool's own source lines.
+    pub fn pseudo(site: Istr, kind: CuKind) -> Self {
+        Cu { file: site, line: 0, kind }
+    }
+
+    /// Is this a [`Cu::pseudo`] site?
+    pub fn is_pseudo(&self) -> bool {
+        self.line == 0
+    }
+
+    /// The location alone: `file:line`, or the bare name of a pseudo-site.
+    pub fn location(&self) -> String {
+        if self.is_pseudo() {
+            self.file.to_string()
+        } else {
+            format!("{}:{}", self.file, self.line)
+        }
+    }
+
     /// Do two CU locations denote the same source point?
     ///
     /// File names are compared by the longer one ending with the shorter
@@ -196,7 +219,11 @@ pub fn files_match(a: &str, b: &str) -> bool {
 
 impl fmt::Display for Cu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{} [{}]", self.file, self.line, self.kind)
+        if self.is_pseudo() {
+            write!(f, "{} [{}]", self.file, self.kind)
+        } else {
+            write!(f, "{}:{} [{}]", self.file, self.line, self.kind)
+        }
     }
 }
 
@@ -388,6 +415,11 @@ mod tests {
     fn display_formats() {
         let cu = Cu::new("m.rs", 42, CuKind::Select);
         assert_eq!(cu.to_string(), "m.rs:42 [select]");
+        assert_eq!(cu.location(), "m.rs:42");
         assert_eq!(CuId(3).to_string(), "cu3");
+        let pseudo = Cu::pseudo(Istr::new("goat:watcher"), CuKind::Recv);
+        assert!(pseudo.is_pseudo() && !cu.is_pseudo());
+        assert_eq!(pseudo.to_string(), "goat:watcher [recv]");
+        assert_eq!(pseudo.location(), "goat:watcher");
     }
 }

@@ -217,7 +217,7 @@ impl<T: Send + 'static> Chan<T> {
         let mut st = self.core.st.lock();
         if st.closed {
             drop(st);
-            gopanic("send on closed channel");
+            gopanic("send on closed channel", cu);
         }
         if let Some(rw) = st.pop_valid_recver() {
             rw.slot.put(RecvOutcome::Val(v));
@@ -291,7 +291,7 @@ impl<T: Send + 'static> Chan<T> {
         let mut st = self.core.st.lock();
         if st.closed {
             drop(st);
-            gopanic("close of closed channel");
+            gopanic("close of closed channel", cu);
         }
         st.closed = true;
         let mut woken: Vec<Gid> = Vec::new();
@@ -371,7 +371,7 @@ impl<T: Send + 'static> ChanCore<T> {
         let mut st = self.st.lock();
         if st.closed {
             drop(st);
-            gopanic("send on closed channel");
+            gopanic("send on closed channel", cu);
         }
         if let Some(rw) = st.pop_valid_recver() {
             rw.slot.put(RecvOutcome::Val(v));
@@ -400,7 +400,7 @@ impl<T: Send + 'static> ChanCore<T> {
             Some(SendOutcome::Sent) => {
                 ctx.rt.tb.push(ctx.gid, EventKind::ChSend { ch: self.id }, Some(cu));
             }
-            Some(SendOutcome::Closed) => gopanic("send on closed channel"),
+            Some(SendOutcome::Closed) => gopanic("send on closed channel", cu),
             None => unreachable!("blocked sender woken without outcome"),
         }
     }
@@ -498,7 +498,7 @@ impl<T: Send + 'static> ChanCore<T> {
         let mut st = self.st.lock();
         if st.closed {
             drop(st);
-            gopanic("send on closed channel");
+            gopanic("send on closed channel", *cu);
         }
         if let Some(rw) = st.pop_valid_recver() {
             rw.slot.put(RecvOutcome::Val(v));

@@ -69,7 +69,7 @@ pub use config::{
     SchedCounters, SchedPolicy, TimeoutPhase,
 };
 pub use monitor::{Monitor, NullMonitor};
-pub use rt::{gid, go, go_internal, go_named, gosched, Runtime};
+pub use rt::{gid, go, go_internal, go_internal_at, go_named, gosched, Runtime};
 pub use select::Select;
 pub use strategy::StrategyKind;
 pub use sync::{Cond, Mutex, Once, RwLock, WaitGroup};

@@ -1,21 +1,25 @@
-//! Shared host-thread pool for runs.
+//! Shared host-thread pool for supervised runs.
 //!
-//! Under the paper's campaign model a kernel is executed thousands of
-//! times. Every run executes all of its goroutines as coroutines on one
-//! host thread ([`crate::Runtime::run`]); this pool keeps those host
-//! threads warm, so a run costs a checkout instead of a
-//! `pthread_create`/`join`. A host thread is checked out per run, runs
-//! it to its teardown, and returns to the idle stack.
+//! Every run executes all of its goroutines as coroutines on one host
+//! thread. A campaign's unsupervised runs are hosted by the thread that
+//! claimed them ([`Runtime::run_here`](crate::Runtime::run_here)); this
+//! pool hosts the rest — runs with a wall-clock watchdog, and every run
+//! started through the public [`Runtime::run`](crate::Runtime::run) —
+//! because only a host that is not the waiting caller can be abandoned
+//! when it wedges. It keeps those host threads warm, so a pooled run
+//! costs a checkout instead of a `pthread_create`/`join`. A host thread
+//! is checked out per run, runs it to its teardown, and returns to the
+//! idle stack.
 //!
 //! Properties:
 //!
 //! * **Global and shared** — one process-wide pool serves all runtime
-//!   instances, so campaign iterations and parallel campaign workers
-//!   reuse each other's host threads.
+//!   instances, so supervised campaign iterations and parallel campaign
+//!   workers reuse each other's host threads.
 //! * **No semantic impact** — which thread hosts a run is invisible to
-//!   scheduling, tracing and replay. Every run is hosted here;
-//!   `GOAT_POOL_MAX_IDLE=0` retires each worker after its run, which
-//!   gives every run a fresh host thread.
+//!   scheduling, tracing and replay; `GOAT_POOL_MAX_IDLE=0` retires
+//!   each worker after its run, which gives every pooled run a fresh
+//!   host thread.
 //! * **Bounded retention** — at most `GOAT_POOL_MAX_IDLE` workers
 //!   (default 256) stay parked waiting for work; excess workers exit.
 //! * **Wedge-proof** — a worker is returned only by its run finishing
@@ -198,7 +202,8 @@ pub struct PoolStats {
 /// limit) are waiting on the idle stack, so a cold process's first
 /// burst of runs does not all pay thread-creation cost.
 /// Best effort — a failed spawn stops early. Returns how many workers
-/// were spawned. Used by the suite orchestrator's warm-resource path.
+/// were spawned. The suite orchestrator calls it when a watchdog sends
+/// its runs here.
 pub fn prewarm(target: usize) -> usize {
     let pool = global();
     let want = target.min(pool.max_idle);

@@ -23,11 +23,19 @@
 //! chosen instead — the preemption/multi-processor noise that makes rare
 //! interleavings rare.
 //!
-//! [`Runtime::run`] hands the whole run to one host thread from the
-//! shared run-host pool and waits for it on a condvar, enforcing
-//! the wall-clock watchdog and the teardown deadline from the calling
-//! thread: a goroutine stuck outside every runtime primitive wedges only
-//! its host, which the caller then abandons.
+//! One host loop runs every run, behind two entry points:
+//!
+//! * [`Runtime::run_here`] hosts the run on the calling thread: no
+//!   handoff and no wakeup, so it is the campaign runner's per-iteration
+//!   entry. Nothing can abandon a host that is the caller itself, so a
+//!   run with a wall-clock watchdog (or started inside another run) goes
+//!   to the pooled entry instead, and without a watchdog a goroutine
+//!   stuck outside every runtime primitive hangs the calling thread.
+//! * [`Runtime::run`] hands the run to one host thread from the shared
+//!   run-host pool and waits for it on a condvar, enforcing the
+//!   wall-clock watchdog and the teardown deadline from the calling
+//!   thread: a goroutine stuck outside every runtime primitive wedges
+//!   only its host, which the caller then abandons.
 
 use crate::config::{
     AliveGoroutine, Config, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters, SchedPolicy,
@@ -46,7 +54,7 @@ use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Panic payload used to unwind goroutines at shutdown.
@@ -55,15 +63,16 @@ pub(crate) struct ShutdownSignal;
 /// Panic payload for Go-level runtime panics ("send on closed channel").
 pub(crate) struct GoPanic {
     pub msg: String,
-    /// Call site of the `gopanic` that raised this panic (deterministic
-    /// forensics: the same seed panics at the same source location).
-    pub site: &'static panic::Location<'static>,
+    /// The operation that raised this panic; its location is the
+    /// panic's forensics (deterministic: the same seed panics at the same
+    /// site).
+    pub site: Cu,
 }
 
-/// Raise a Go-level panic (crashes the whole program, like Go).
-#[track_caller]
-pub(crate) fn gopanic(msg: impl Into<String>) -> ! {
-    panic::panic_any(GoPanic { msg: msg.into(), site: panic::Location::caller() })
+/// Raise a Go-level panic at the operation `site` (crashes the whole
+/// program, like Go).
+pub(crate) fn gopanic(msg: impl Into<String>, site: Cu) -> ! {
+    panic::panic_any(GoPanic { msg: msg.into(), site })
 }
 
 pub(crate) fn shutdown_unwind() -> ! {
@@ -737,6 +746,10 @@ thread_local! {
     /// This host thread's coroutines, indexed by gid − 1. A coroutine's
     /// entry is vacated while it runs.
     static COROS: RefCell<Vec<Option<Coroutine>>> = const { RefCell::new(Vec::new()) };
+    /// The pseudo-location the running goroutine is pinned to, when it
+    /// is part of the tool rather than of the program under test (see
+    /// [`go_internal_at`]). A goroutine takes it along while suspended.
+    static PINNED: Cell<Option<Istr>> = const { Cell::new(None) };
     /// The host is tearing the run down: a goroutine resumed now unwinds.
     static TEARDOWN: Cell<bool> = const { Cell::new(false) };
 }
@@ -830,9 +843,13 @@ pub(crate) fn op_enter(ctx: &Ctx, _kind: CuKind, cu: &Cu) {
     }
 }
 
-/// Build a CU for a caller location.
+/// Build a CU for a caller location, or for the running goroutine's
+/// pseudo-location when it is pinned to one.
 pub(crate) fn cu_here(kind: CuKind, loc: &std::panic::Location<'_>) -> Cu {
-    Cu::new(loc.file(), loc.line(), kind)
+    match PINNED.get() {
+        Some(site) => Cu::pseudo(site, kind),
+        None => Cu::new(loc.file(), loc.line(), kind),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -868,7 +885,7 @@ fn spawn_goroutine(rt: &Arc<RtShared>, gid: Gid, body: Body) {
 /// thread-local on this same thread.
 fn panic_forensics(payload: Box<dyn std::any::Any + Send>) -> (String, Option<String>) {
     if let Some(gp) = payload.downcast_ref::<GoPanic>() {
-        let detail = format!("go panic at {}:{}", gp.site.file(), gp.site.line());
+        let detail = format!("go panic at {}", gp.site.location());
         (gp.msg.clone(), Some(detail))
     } else {
         let msg = if let Some(s) = payload.downcast_ref::<&str>() {
@@ -889,7 +906,10 @@ fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Body) {
     // The granter emitted its last event before the grant, so this
     // lock-free append lands in total order.
     rt.tb.push(gid, EventKind::GoStart, None);
-    match panic::catch_unwind(AssertUnwindSafe(body)) {
+    let ended = panic::catch_unwind(AssertUnwindSafe(body));
+    // A pinned site ends with its goroutine.
+    PINNED.set(None);
+    match ended {
         Ok(()) if gid == Gid::MAIN => {
             // Successful main exit: the trace-stopping yield of §III-E.1,
             // then a grace drain of runnable goroutines (schedule_next
@@ -931,29 +951,35 @@ fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Body) {
 /// child's creation CU in the trace and the goroutine tree.
 #[track_caller]
 pub fn go<F: FnOnce() + Send + 'static>(f: F) -> Gid {
-    go_impl("anonymous", false, Box::new(f), std::panic::Location::caller())
+    go_impl("anonymous", None, Box::new(f), cu_here(CuKind::Go, std::panic::Location::caller()))
 }
 
 /// Spawn a named goroutine (names appear in reports and trees).
 #[track_caller]
 pub fn go_named<F: FnOnce() + Send + 'static>(name: &str, f: F) -> Gid {
-    go_impl(name, false, Box::new(f), std::panic::Location::caller())
+    go_impl(name, None, Box::new(f), cu_here(CuKind::Go, std::panic::Location::caller()))
+}
+
+/// Spawn a runtime-internal goroutine pinned to the pseudo-location
+/// named after it; see [`go_internal_at`].
+pub fn go_internal<F: FnOnce() + Send + 'static>(name: &str, f: F) -> Gid {
+    go_internal_at(name, name, f)
 }
 
 /// Spawn a runtime-internal goroutine, excluded from application-level
-/// analysis (the paper's watchdog/tracer goroutines).
-#[track_caller]
-pub fn go_internal<F: FnOnce() + Send + 'static>(name: &str, f: F) -> Gid {
-    go_impl(name, true, Box::new(f), std::panic::Location::caller())
+/// analysis (the paper's watchdog/tracer goroutines). It is part of the
+/// tool, not of the program under test, so its creation and every
+/// operation it performs are attributed to the fixed pseudo-location
+/// `site` (see [`Cu::pseudo`]) instead of the tool's own source lines.
+pub fn go_internal_at<F: FnOnce() + Send + 'static>(name: &str, site: &str, f: F) -> Gid {
+    let site = Istr::new(site);
+    go_impl(name, Some(site), Box::new(f), Cu::pseudo(site, CuKind::Go))
 }
 
-fn go_impl(
-    name: &str,
-    internal: bool,
-    body: Box<dyn FnOnce() + Send + 'static>,
-    loc: &std::panic::Location<'_>,
-) -> Gid {
-    let cu = cu_here(CuKind::Go, loc);
+/// Spawn goroutine `name` created at `cu`; `pinned` marks an internal
+/// goroutine and the pseudo-location all its operations report.
+fn go_impl(name: &str, pinned: Option<Istr>, body: Body, cu: Cu) -> Gid {
+    let internal = pinned.is_some();
     let ctx = current();
     if !internal {
         // GoAT's own helper goroutines are not perturbation targets.
@@ -968,6 +994,13 @@ fn go_impl(
     // goroutine reaches a scheduler gate, so the creation event lands
     // before any child event.
     ctx.rt.tb.push(ctx.gid, EventKind::GoCreate { new_g: gid, name, internal }, Some(cu));
+    let body: Body = match pinned {
+        Some(site) => Box::new(move || {
+            PINNED.set(Some(site));
+            body()
+        }),
+        None => body,
+    };
     spawn_goroutine(&ctx.rt, gid, body);
     gid
 }
@@ -991,6 +1024,13 @@ pub struct Runtime;
 impl Runtime {
     /// Run `f` as the main goroutine.
     ///
+    /// The run is hosted on a thread of the shared run-host pool while
+    /// the calling thread waits, enforcing [`Config::iter_timeout_ms`]
+    /// and the teardown deadline: a goroutine stuck outside every
+    /// runtime primitive wedges only its host, which is then abandoned.
+    /// [`Runtime::run_here`] is the cheaper entry for runs without a
+    /// watchdog.
+    ///
     /// ```
     /// use goat_runtime::{Runtime, Config, go, Chan};
     /// let result = Runtime::run(Config::new(1), || {
@@ -1006,116 +1046,163 @@ impl Runtime {
     }
 
     /// Run `f` with a [`Monitor`] observing primitive operations (how the
-    /// baseline detectors of §IV-A attach).
+    /// baseline detectors of §IV-A attach), hosted on the pool as in
+    /// [`Runtime::run`].
     pub fn run_monitored<F: FnOnce() + Send + 'static>(
         cfg: Config,
         monitor: Option<Arc<dyn Monitor>>,
         f: F,
     ) -> RunResult {
-        install_panic_hook();
-        let teardown = teardown_timeout();
-        let seed = cfg.seed;
         let iter_timeout_ms = cfg.iter_timeout_ms;
-        let tb = Arc::new(TraceBuf::new(cfg.trace, cfg.max_trace_events));
-        let rt = Arc::new(RtShared {
-            state: SchedLock(Mutex::new(Sched::new(cfg, monitor.clone(), Arc::clone(&tb)))),
-            tb,
-            monitor,
-            done_cv: Condvar::new(),
-        });
-
-        // Bootstrap: create the main goroutine (the host grants it the token).
-        {
-            let mut s = rt.state.lock();
-            s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
-            s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
-            let gid = s.new_goroutine(Istr::new("main"), false);
-            debug_assert_eq!(gid, Gid::MAIN);
-        }
-        // Seed-keyed `iter` faults replace the program body wholesale,
-        // exercising each watchdog escalation path deterministically (the
-        // crash snapshots in tests/snapshots/ record the panic arm's line).
-        let body: Body = match faultpoint::seed_fault("iter", seed) {
-            // Stall outside every runtime primitive: no scheduler gate is
-            // ever reached, so only the hard watchdog deadline (and the
-            // teardown abandonment path) can reclaim this run.
-            Some(SeedFault::Wedge) => Box::new(|| std::thread::sleep(Duration::from_secs(3600))),
-            // Yield forever: every gosched passes the scheduler gate, so
-            // the soft deadline aborts cooperatively (or the step limit
-            // fires first when no watchdog is configured).
-            Some(SeedFault::Spin) => Box::new(|| loop {
-                gosched();
-            }),
-            Some(SeedFault::Panic) => Box::new(|| gopanic("injected fault: iter:panic")),
-            None => Box::new(f),
-        };
+        let (rt, body) = prepare(cfg, monitor, f);
         let host_rt = Arc::clone(&rt);
-        if let Err(reason) =
-            crate::pool::global().execute(Box::new(move || host_main(host_rt, body)))
-        {
+        let host = Box::new(move || {
+            let _done = HostDone(&host_rt);
+            host_main(&host_rt, body);
+        });
+        if let Err(reason) = crate::pool::global().execute(host) {
             // No host ever ran: the harness, not the program, failed.
             let mut s = rt.state.lock();
             s.set_outcome(RunOutcome::InfraFailure { reason });
             s.stop();
             s.host_done = true;
         }
-        if await_host(&rt, iter_timeout_ms, teardown) {
+        if await_host(&rt, iter_timeout_ms, teardown_timeout) {
             // The host is wedged in a goroutine stuck outside runtime
             // primitives: write it off and replace it.
             crate::pool::note_abandoned();
         }
+        collect(&rt)
+    }
 
-        // Collect results. Closing the trace buffer drops any straggler
-        // append from an abandoned host; the collected event vector
-        // moves into the ECT wholesale (no per-event re-push) and the
-        // campaign merge loop recycles it.
-        let (trace, fingerprint) = rt.tb.take();
-        let mut s = rt.state.lock();
-        let outcome = s.outcome.clone().expect("outcome set before teardown");
-        let ect = trace.map(Ect::from_events);
-        let alive_at_end: Vec<AliveGoroutine> = s
-            .alive_snapshot
-            .take()
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|a| !a.internal)
-            .collect();
-        let schedule = ReplayLog { decisions: std::mem::take(&mut s.decision_log) };
-        let panic_detail = s.panic_detail.take();
-        let result = RunResult {
-            outcome,
-            panic_detail,
-            ect,
-            fingerprint,
-            steps: s.steps,
-            vclock: VTime(s.clock),
-            goroutines: s.slots.iter().filter(|g| !g.internal).count() as u64,
-            yields_injected: s.yields_injected,
-            priority_changes: s.strategy.priority_changes(),
-            alive_at_end,
-            schedule,
-            replay_diverged: s.replay_diverged,
-            sched: s.counters,
-        };
-        let seed = s.cfg.seed;
-        drop(s);
-        if goat_metrics::enabled() {
-            report_run_telemetry(seed, &result);
+    /// Run `f` as the main goroutine with the calling thread as the
+    /// run's host: no pool checkout and no cross-thread wakeup, and the
+    /// same result as [`Runtime::run`].
+    ///
+    /// Nothing can abandon a host that is the caller itself, so this
+    /// delegates to [`Runtime::run`] when [`Config::iter_timeout_ms`] is
+    /// set, and when the calling thread is already hosting a run
+    /// (coroutines do not nest). Without a watchdog, a goroutine stuck
+    /// outside every runtime primitive — also one that swallows the
+    /// teardown unwind and then blocks — hangs the calling thread. A
+    /// panic of the host loop itself ends the run as
+    /// [`RunOutcome::InfraFailure`] and leaves the thread fit for its
+    /// next run.
+    pub fn run_here<F: FnOnce() + Send + 'static>(cfg: Config, f: F) -> RunResult {
+        if cfg.iter_timeout_ms.is_some() || CURRENT.with(|c| c.borrow().is_some()) {
+            return Self::run(cfg, f);
         }
-        result
+        let (rt, body) = prepare(cfg, None, f);
+        if panic::catch_unwind(AssertUnwindSafe(|| host_main(&rt, body))).is_err() {
+            // Unwind what the broken host left suspended (best effort)
+            // and leave this thread as clean as a fresh host.
+            let _ = panic::catch_unwind(teardown);
+            COROS.with(|c| c.borrow_mut().clear());
+            TEARDOWN.with(|t| t.set(false));
+            CURRENT.with(|c| *c.borrow_mut() = None);
+            host_panicked(&rt);
+        }
+        collect(&rt)
     }
 }
 
-/// Wait for the host to tear the run down. With a wall-clock watchdog
-/// configured the wait escalates twice: at the soft deadline it requests
-/// a cooperative abort through the scheduler gate, and at the hard
-/// deadline (soft + grace) it decides the outcome itself — the only way
-/// out when the running goroutine is stuck outside runtime primitives.
-/// Once the outcome is decided, the host gets the `teardown` deadline to
-/// finish. Returns true when that deadline passed and the host was
-/// abandoned; the run is then stopped here, so its trace ends in
-/// `ProcStop` however late the host would have stopped it.
-fn await_host(rt: &RtShared, iter_timeout_ms: Option<u64>, teardown: Duration) -> bool {
+/// Set up a run: its scheduler with the main goroutine created (the host
+/// grants it the token) and the body main will run.
+fn prepare<F: FnOnce() + Send + 'static>(
+    cfg: Config,
+    monitor: Option<Arc<dyn Monitor>>,
+    f: F,
+) -> (Arc<RtShared>, Body) {
+    install_panic_hook();
+    let seed = cfg.seed;
+    let tb = Arc::new(TraceBuf::new(cfg.trace, cfg.max_trace_events));
+    let rt = Arc::new(RtShared {
+        state: SchedLock(Mutex::new(Sched::new(cfg, monitor.clone(), Arc::clone(&tb)))),
+        tb,
+        monitor,
+        done_cv: Condvar::new(),
+    });
+    {
+        let mut s = rt.state.lock();
+        s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
+        s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
+        let gid = s.new_goroutine(Istr::new("main"), false);
+        debug_assert_eq!(gid, Gid::MAIN);
+    }
+    // Seed-keyed `iter` faults replace the program body wholesale,
+    // exercising each watchdog escalation path deterministically.
+    let body: Body = match faultpoint::seed_fault("iter", seed) {
+        // Stall outside every runtime primitive: no scheduler gate is
+        // ever reached, so only the hard watchdog deadline (and the
+        // teardown abandonment path) can reclaim this run.
+        Some(SeedFault::Wedge) => Box::new(|| std::thread::sleep(Duration::from_secs(3600))),
+        // Yield forever: every gosched passes the scheduler gate, so
+        // the soft deadline aborts cooperatively (or the step limit
+        // fires first when no watchdog is configured).
+        Some(SeedFault::Spin) => Box::new(|| loop {
+            gosched();
+        }),
+        // The crash forensics name the fault, not a line of the tool.
+        Some(SeedFault::Panic) => Box::new(|| {
+            let site = Cu::pseudo(Istr::new("goat:fault(iter:panic)"), CuKind::Go);
+            gopanic("injected fault: iter:panic", site)
+        }),
+        None => Box::new(f),
+    };
+    (rt, body)
+}
+
+/// Collect a finished (or abandoned) run's result. Closing the trace
+/// buffer drops any straggler append from an abandoned host; the
+/// collected event vector moves into the ECT wholesale (no per-event
+/// re-push) and the campaign merge loop recycles it.
+fn collect(rt: &RtShared) -> RunResult {
+    let (trace, fingerprint) = rt.tb.take();
+    let mut s = rt.state.lock();
+    let outcome = s.outcome.clone().expect("outcome set before teardown");
+    let ect = trace.map(Ect::from_events);
+    let alive_at_end: Vec<AliveGoroutine> =
+        s.alive_snapshot.take().unwrap_or_default().into_iter().filter(|a| !a.internal).collect();
+    let schedule = ReplayLog { decisions: std::mem::take(&mut s.decision_log) };
+    let panic_detail = s.panic_detail.take();
+    let result = RunResult {
+        outcome,
+        panic_detail,
+        ect,
+        fingerprint,
+        steps: s.steps,
+        vclock: VTime(s.clock),
+        goroutines: s.slots.iter().filter(|g| !g.internal).count() as u64,
+        yields_injected: s.yields_injected,
+        priority_changes: s.strategy.priority_changes(),
+        alive_at_end,
+        schedule,
+        replay_diverged: s.replay_diverged,
+        sched: s.counters,
+    };
+    let seed = s.cfg.seed;
+    drop(s);
+    if goat_metrics::enabled() {
+        report_run_telemetry(seed, &result);
+    }
+    result
+}
+
+/// Wait for the pooled host to tear the run down. With a wall-clock
+/// watchdog configured the wait escalates twice: at the soft deadline it
+/// requests a cooperative abort through the scheduler gate, and at the
+/// hard deadline (soft + grace) it decides the outcome itself — the only
+/// way out when the running goroutine is stuck outside runtime
+/// primitives. Once the outcome is decided, the host gets the `teardown`
+/// deadline to finish (asked for only then, so a run whose host is done
+/// in time never reads it). Returns true when that deadline passed and
+/// the host was abandoned; the run is then stopped here, so its trace
+/// ends in `ProcStop` however late the host would have stopped it.
+fn await_host(
+    rt: &RtShared,
+    iter_timeout_ms: Option<u64>,
+    teardown: impl Fn() -> Duration,
+) -> bool {
     let mut s = rt.state.lock();
     let started = s.started;
     let watchdog = iter_timeout_ms.map(|ms| {
@@ -1125,11 +1212,12 @@ fn await_host(rt: &RtShared, iter_timeout_ms: Option<u64>, teardown: Duration) -
     while !s.host_done {
         let now = Instant::now();
         let wake = if let Some(at) = s.outcome_at {
-            if now >= at + teardown {
+            let deadline = at + teardown();
+            if now >= deadline {
                 s.stop();
                 return true;
             }
-            at + teardown
+            deadline
         } else if let Some((soft, hard)) = watchdog {
             if now >= hard {
                 let elapsed_ms = started.elapsed().as_millis() as u64;
@@ -1148,35 +1236,41 @@ fn await_host(rt: &RtShared, iter_timeout_ms: Option<u64>, teardown: Duration) -
             }
         } else {
             // No watchdog: the host signals only after teardown, so poll
-            // to start the teardown clock once the outcome is decided
-            // (at least 1 ms apart, so a zero deadline does not spin).
-            now + teardown.max(Duration::from_millis(1))
+            // to start the teardown clock once the outcome is decided.
+            now + OUTCOME_POLL
         };
         rt.done_cv.wait_for(&mut s.0, wake - now);
     }
     false
 }
 
-/// How long a run's host may take to tear down once the outcome is
-/// decided before the caller abandons it (`GOAT_TEARDOWN_TIMEOUT_MS`,
-/// default 5 s).
+/// How often a caller without a watchdog checks whether its pooled run's
+/// outcome is decided, which starts the teardown deadline.
+const OUTCOME_POLL: Duration = Duration::from_millis(50);
+
+/// How long a pooled run's host may take to tear down once the outcome
+/// is decided before the caller abandons it (`GOAT_TEARDOWN_TIMEOUT_MS`,
+/// default 5 s; read once per process, by the first run that waits on
+/// it).
 fn teardown_timeout() -> Duration {
-    Duration::from_millis(
-        std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(5_000),
-    )
+    static TEARDOWN_TIMEOUT: OnceLock<Duration> = OnceLock::new();
+    *TEARDOWN_TIMEOUT.get_or_init(|| {
+        Duration::from_millis(
+            std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
+                .ok()
+                .and_then(|v| v.parse::<u64>().ok())
+                .unwrap_or(5_000),
+        )
+    })
 }
 
 /// The run's host loop, on its host thread: resume whichever goroutine
 /// the scheduler granted until the outcome is decided, then stop the
 /// run and tear it down.
-fn host_main(rt: Arc<RtShared>, main_body: Body) {
+fn host_main(rt: &Arc<RtShared>, main_body: Body) {
     debug_assert!(COROS.with(|c| c.borrow().is_empty()), "host thread reused mid-run");
-    let _done = HostDone(&rt);
-    CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { rt: Arc::clone(&rt), gid: Gid::MAIN }));
-    spawn_goroutine(&rt, Gid::MAIN, main_body);
+    CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { rt: Arc::clone(rt), gid: Gid::MAIN }));
+    spawn_goroutine(rt, Gid::MAIN, main_body);
     rt.state.lock().schedule_next();
     loop {
         let g = {
@@ -1193,13 +1287,26 @@ fn host_main(rt: Arc<RtShared>, main_body: Body) {
     CURRENT.with(|c| *c.borrow_mut() = None);
 }
 
-/// Signals the waiting caller once the host is done with its run —
-/// also if the host loop itself panicked, so the caller fails loudly
-/// instead of waiting forever.
+/// The host loop itself panicked (a broken runtime invariant: goroutines
+/// catch their own panics). Unless the run already had its outcome, it
+/// ends as an infra failure, which the campaign layer retries, rather
+/// than as a panic of the thread that waits for it.
+fn host_panicked(rt: &RtShared) {
+    let mut s = rt.state.lock();
+    s.set_outcome(RunOutcome::InfraFailure { reason: "run host panicked".to_string() });
+    s.stop();
+}
+
+/// Signals the waiting caller once the pooled host is done with its run
+/// — also if the host loop itself panicked, so the caller gets an
+/// infra failure instead of waiting forever.
 struct HostDone<'a>(&'a RtShared);
 
 impl Drop for HostDone<'_> {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            host_panicked(self.0);
+        }
         self.0.state.lock().host_done = true;
         self.0.done_cv.notify_one();
     }
@@ -1214,7 +1321,10 @@ fn switch_to_host() {
         0,
         "a goroutine switched to the host while holding the Sched lock"
     );
+    // The goroutines resumed meanwhile must not report this one's site.
+    let pinned = PINNED.take();
     coro::suspend();
+    PINNED.set(pinned);
     if TEARDOWN.with(Cell::get) {
         shutdown_unwind();
     }
@@ -1426,7 +1536,7 @@ mod tests {
     #[test]
     fn user_panic_becomes_panicked_outcome() {
         let r = Runtime::run(Config::new(0), || {
-            gopanic("boom");
+            gopanic("boom", Cu::new(file!(), line!(), CuKind::Go));
         });
         match r.outcome {
             RunOutcome::Panicked { g, ref msg } => {
@@ -1440,7 +1550,7 @@ mod tests {
     #[test]
     fn panic_in_child_crashes_program() {
         let r = Runtime::run(Config::new(1).with_native_preempt_prob(0.0), || {
-            go(|| gopanic("child-crash"));
+            go(|| gopanic("child-crash", Cu::new(file!(), line!(), CuKind::Go)));
             gosched();
             gosched();
         });
@@ -1580,6 +1690,29 @@ mod tests {
         assert_eq!(nested.parent, Some(worker.g));
     }
 
+    /// A panic of the host loop itself (here: main switches to the host
+    /// without a grant or an outcome, which breaks the loop's invariant)
+    /// ends the run as an infra failure on either entry, and on the
+    /// inline one the calling thread hosts its next run normally.
+    #[test]
+    fn host_loop_panic_is_an_infra_failure() {
+        let cfg = || Config::new(0).with_iter_timeout_ms(None);
+        for r in [Runtime::run_here(cfg(), switch_to_host), Runtime::run(cfg(), switch_to_host)] {
+            match &r.outcome {
+                RunOutcome::InfraFailure { reason } => assert_eq!(reason, "run host panicked"),
+                other => panic!("expected an infra failure, got {other:?}"),
+            }
+            let events = r.ect.expect("traced");
+            assert_eq!(events.events().last().map(|e| &e.kind), Some(&EventKind::ProcStop));
+        }
+        assert!(CURRENT.with(|c| c.borrow().is_none()) && COROS.with(|c| c.borrow().is_empty()));
+        let next = Runtime::run_here(cfg(), || {
+            go_named("child", || {});
+            gosched();
+        });
+        assert!(next.outcome.is_completed() && next.clean(), "{:?}", next.outcome);
+    }
+
     /// A host descheduled between deciding the outcome and stopping the
     /// run is abandoned at the teardown deadline, and the trace the
     /// caller takes still ends in exactly one `ProcStop`. A zero deadline
@@ -1605,7 +1738,7 @@ mod tests {
                 let _done = HostDone(&host_rt);
                 host_rt.state.lock().stop();
             });
-            let abandoned = await_host(&rt, None, Duration::from_millis(teardown_ms));
+            let abandoned = await_host(&rt, None, || Duration::from_millis(teardown_ms));
             let (trace, _) = rt.tb.take();
             release.send(()).expect("host waits for release");
             host.join().expect("host thread");

@@ -40,8 +40,9 @@ trait SelCase<R> {
     fn register(&mut self, ctx: &Ctx, tok: &Arc<SelToken>, idx: usize);
     /// Remove this select's registrations from the case's channel.
     fn unregister(&mut self, tok: &Arc<SelToken>);
-    /// Finish after this case won while the select was blocked.
-    fn complete(&mut self, ctx: &Ctx) -> R;
+    /// Finish after this case won while the select was blocked; `cu` is
+    /// the select's, where a send case on a closed channel panics.
+    fn complete(&mut self, cu: Cu) -> R;
 }
 
 struct RecvCase<'a, T, R> {
@@ -77,7 +78,7 @@ impl<'a, T: Send + 'static, R> SelCase<R> for RecvCase<'a, T, R> {
         self.ch.core().sel_unregister(tok);
     }
 
-    fn complete(&mut self, _ctx: &Ctx) -> R {
+    fn complete(&mut self, _cu: Cu) -> R {
         let slot = self.slot.take().expect("winning case has a slot");
         let f = self.f.take().expect("select case completed twice");
         match slot.take() {
@@ -131,14 +132,14 @@ impl<'a, T: Send + 'static, R> SelCase<R> for SendCase<'a, T, R> {
         self.ch.core().sel_unregister(tok);
     }
 
-    fn complete(&mut self, _ctx: &Ctx) -> R {
+    fn complete(&mut self, cu: Cu) -> R {
         let slot = self.slot.take().expect("winning case has a slot");
         match slot.take() {
             Some(SendOutcome::Sent) => {
                 let f = self.f.take().expect("closure consumed twice");
                 f()
             }
-            Some(SendOutcome::Closed) => gopanic("send on closed channel"),
+            Some(SendOutcome::Closed) => gopanic("send on closed channel", cu),
             None => unreachable!("committed send case without outcome"),
         }
     }
@@ -259,7 +260,7 @@ impl<'a, R: 'a> Select<'a, R> {
                     c.unregister(&tok);
                 }
             }
-            let r = self.cases[winner].complete(&ctx);
+            let r = self.cases[winner].complete(cu);
             self.emit_end(&ctx, winner);
             return r;
         }

@@ -170,7 +170,7 @@ impl Mutex {
         let mut st = self.core.st.lock();
         if st.owner.is_none() {
             drop(st);
-            gopanic("sync: unlock of unlocked mutex");
+            gopanic("sync: unlock of unlocked mutex", cu);
         }
         let woken = if let Some(w) = st.waiters.pop_front() {
             st.owner = Some(w.g);
@@ -298,7 +298,7 @@ impl RwLock {
         let mut st = self.core.st.lock();
         if st.writer.is_none() {
             drop(st);
-            gopanic("sync: Unlock of unlocked RWMutex");
+            gopanic("sync: Unlock of unlocked RWMutex", cu);
         }
         st.writer = None;
         let mut woken: Vec<Gid> = Vec::new();
@@ -353,7 +353,7 @@ impl RwLock {
         // Go tracks a reader *count*; any goroutine may release a unit.
         if st.readers.pop().is_none() {
             drop(st);
-            gopanic("sync: RUnlock of unlocked RWMutex");
+            gopanic("sync: RUnlock of unlocked RWMutex", cu);
         }
         let mut woken: Vec<Gid> = Vec::new();
         self.grant(&mut st, &mut woken);
@@ -484,7 +484,7 @@ impl WaitGroup {
         let count = st.count;
         if count < 0 {
             drop(st);
-            gopanic("sync: negative WaitGroup counter");
+            gopanic("sync: negative WaitGroup counter", cu);
         }
         let woken: Vec<Gid> = if count == 0 { st.waiters.drain(..).collect() } else { Vec::new() };
         drop(st);

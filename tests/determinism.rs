@@ -573,6 +573,32 @@ fn suite_stdout_identical_under_seam_delays() {
     }
 }
 
+// The same seams on a lone stop-on-bug campaign: its workers all claim
+// from one stream, so at -jobs 4 iterations past the bug are always in
+// flight when it halts. Merging any of them would change the report's
+// coverage; the -target all leg above rarely has such a claim, because
+// affinity keeps each worker on its own kernel.
+#[test]
+fn lone_campaign_stdout_identical_under_seam_delays() {
+    let args = ["-target", "etcd6857", "-d", "2", "-freq", "100", "-cov"];
+    for isolate in ["off", "proc"] {
+        let baseline =
+            suite_stdout(goat_cmd().args(args).args(["-jobs", "1"]).env("GOAT_ISOLATE", isolate));
+        assert!(baseline.contains("bug detected on iteration"), "no bug report: {baseline:?}");
+        let delayed = suite_stdout(
+            goat_cmd()
+                .args(args)
+                .args(["-jobs", "4"])
+                .env("GOAT_ISOLATE", isolate)
+                .env("GOAT_FAULT", "suite_claim:delay:1,suite_emit:delay:1,suite_finalize:delay:1"),
+        );
+        assert_eq!(
+            baseline, delayed,
+            "lone-campaign stdout diverged under seam delays at -jobs 4 (GOAT_ISOLATE={isolate})"
+        );
+    }
+}
+
 #[test]
 fn sigkilled_suite_resumes_byte_identically() {
     let dir = std::env::temp_dir().join(format!("goat-suite-kill-{}", std::process::id()));

@@ -277,3 +277,43 @@ fn cli_jobs_flag_sizes_a_lone_campaign_without_changing_its_report() {
     assert!(one.contains("bug detected on iteration"), "{one}");
     assert_eq!(one, report("4"), "-jobs 4 changed the lone-campaign report");
 }
+
+#[test]
+fn reports_never_name_the_tools_own_source_files() {
+    // Tool-internal sites (the watcher/stopper goroutines, injected
+    // faults, runtime-raised Go panics) print fixed pseudo-locations or
+    // the program's own call site, never a line of the harness: editing
+    // the harness must not change a report. Checked on every golden and
+    // on every kernel's CLI report with its coverage and interleaving.
+    const HARNESS: [&str; 2] = ["crates/core/src/", "crates/runtime/src/"];
+    let assert_clean = |what: &str, text: &str| {
+        for dir in HARNESS {
+            assert!(!text.contains(dir), "{what} names a harness file under {dir}:\n{text}");
+        }
+    };
+    let snapshots = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots");
+    for entry in std::fs::read_dir(&snapshots).expect("snapshots dir") {
+        let path = entry.expect("entry").path();
+        assert_clean(&path.display().to_string(), &std::fs::read_to_string(&path).expect("read"));
+    }
+    let report = |args: &[&str], fault: Option<&str>| {
+        let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_goat"));
+        cmd.args(args).env_remove("GOAT_FAULT");
+        if let Some(plan) = fault {
+            cmd.env("GOAT_FAULT", plan);
+        }
+        let out = cmd.output().expect("run");
+        String::from_utf8(out.stdout).expect("utf8 stdout")
+    };
+    let mut detected = 0;
+    for k in goat::goker::all_kernels() {
+        let text = report(&["-target", k.name, "-d", "2", "-freq", "30", "-cov"], None);
+        detected += usize::from(text.contains("bug detected on iteration"));
+        assert_clean(k.name, &text);
+    }
+    assert!(detected > 30, "too few bug reports to check: {detected}");
+    let args = ["-target", "etcd6708", "-d", "1", "-freq", "5", "-seed", "11", "-cov"];
+    let crash = report(&args, Some("iter:panic"));
+    assert!(crash.contains("go panic at goat:fault(iter:panic)"), "{crash}");
+    assert_clean("the iter:panic report", &crash);
+}
